@@ -123,7 +123,9 @@ class ClusterServer:
             auto_rejoin=True,
         )
         self.collector = LiveCollector(model)
-        self.tracer = Tracer(self.cluster.stats, metrics=self.collector)
+        self.tracer = Tracer(
+            self.cluster.stats, metrics=self.collector, forest=False
+        )
         self.sources = {
             name: ClusterRequestSource(
                 self.cluster, f"{config.seed}:{name}"
@@ -169,7 +171,6 @@ class ClusterServer:
         if refs is not None:
             self.collector.observe_request(klass, cycles, refs)
         self.collector.poll(self.busy_until_us, after.as_dict())
-        self.tracer.roots.clear()
 
     def _execute(
         self, source, klass: str, t_us: int, start_us: int

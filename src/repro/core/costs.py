@@ -272,8 +272,19 @@ class CycleCosts:
         "smp.tlb_shootdown.entries": "entry_update",
     }
 
+    #: Memo of :meth:`weight_for`, one entry per counter name seen.
+    _weights: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
     def weight_for(self, counter: str) -> int:
         """The cycle weight for one counter name (0 when unpriced)."""
+        weight = self._weights.get(counter)
+        if weight is None:
+            weight = self._weights[counter] = self._scan_weight(counter)
+        return weight
+
+    def _scan_weight(self, counter: str) -> int:
         for suffix, attr in self.WEIGHTS.items():
             if counter == suffix or counter.endswith("." + suffix):
                 return getattr(self, attr)

@@ -457,12 +457,29 @@ class MemorySystem:
         With an active tracer every reference runs inside a sampled
         ``mem.access`` span; with :data:`~repro.obs.tracer.NULL_TRACER`
         the wrapper is removed entirely rather than checked per call.
+        A tracer that keeps no forest and samples every span gets the
+        lean wrapper: two reads of the cycle clock and one
+        ``(name, cycles)`` observation, with no span object at all.
         """
         self.tracer = tracer
         if not tracer.active:
             self.access_fast = self._access_fast
             return
         impl = self._access_fast
+        metrics = tracer.metrics
+        if not tracer.forest and tracer.sample_every == 1 and metrics is not None:
+            clock = tracer.tick
+            observe = metrics.observe_span
+
+            def observed_access_fast(vaddr: int, access: AccessType):
+                start = clock()
+                try:
+                    return impl(vaddr, access)
+                finally:
+                    observe("mem.access", clock() - start)
+
+            self.access_fast = observed_access_fast
+            return
         open_span = tracer.span
         model = self.model_name
 

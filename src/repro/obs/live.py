@@ -27,10 +27,7 @@ paths keep their zero-overhead-when-off contract.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Mapping
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.tracer import Span
+from typing import Mapping
 
 
 # --------------------------------------------------------------------- #
@@ -44,7 +41,16 @@ class P2Quantile:
     piecewise-parabolic prediction as observations arrive.  Exact for the
     first five observations, an estimate afterwards.  Fully deterministic:
     same observation sequence, same estimate.
+
+    ``add`` runs three times for every span a serve-mode tracer closes,
+    so it is written for the interpreter: the cell search is one chain
+    of comparisons, and only the interior markers' desired positions are
+    kept (the end markers never leave the ends).  Its floating-point
+    operations are the textbook loop's, in the same order, so estimates
+    are bit-identical to it (``tests/obs/test_p2_identity.py``).
     """
+
+    __slots__ = ("q", "count", "_heights", "_positions", "_desired", "_increments")
 
     def __init__(self, q: float) -> None:
         if not 0.0 < q < 1.0:
@@ -53,61 +59,75 @@ class P2Quantile:
         self.count = 0
         self._heights: list[float] = []
         self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
-        self._increments = [0.0, q / 2, q, (1 + q) / 2, 1.0]
+        #: Desired positions of the three interior markers, and what one
+        #: observation adds to each.
+        self._desired = [1 + 2 * q, 1 + 4 * q, 3 + 2 * q]
+        self._increments = (q / 2, q, (1 + q) / 2)
 
     def add(self, value: float) -> None:
         self.count += 1
-        if self.count <= 5:
-            self._heights.append(float(value))
-            self._heights.sort()
-            return
         h = self._heights
-        # Find the cell the new observation falls into; stretch extremes.
+        if self.count <= 5:
+            h.append(float(value))
+            h.sort()
+            return
+        pos = self._positions
+        # Find the cell the new observation falls into (stretching the
+        # extremes) and shift every marker above it.
         if value < h[0]:
             h[0] = float(value)
-            cell = 0
+            pos[1] += 1
+            pos[2] += 1
+            pos[3] += 1
         elif value >= h[4]:
             h[4] = float(value)
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and value >= h[cell + 1]:
-                cell += 1
-        for index in range(cell + 1, 5):
-            self._positions[index] += 1
-        for index in range(5):
-            self._desired[index] += self._increments[index]
+        elif value < h[1]:
+            pos[1] += 1
+            pos[2] += 1
+            pos[3] += 1
+        elif value < h[2]:
+            pos[2] += 1
+            pos[3] += 1
+        elif value < h[3]:
+            pos[3] += 1
+        pos[4] += 1
+        desired = self._desired
+        increments = self._increments
+        desired[0] += increments[0]
+        desired[1] += increments[1]
+        desired[2] += increments[2]
         # Adjust the three interior markers toward their desired positions.
-        for index in range(1, 4):
-            drift = self._desired[index] - self._positions[index]
-            pos = self._positions
-            if (drift >= 1 and pos[index + 1] - pos[index] > 1) or (
-                drift <= -1 and pos[index - 1] - pos[index] < -1
-            ):
-                step = 1.0 if drift >= 1 else -1.0
-                candidate = self._parabolic(index, step)
-                if h[index - 1] < candidate < h[index + 1]:
-                    h[index] = candidate
-                else:
-                    h[index] = self._linear(index, step)
-                pos[index] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + step / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + step)
-            * (h[i + 1] - h[i])
-            / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - step)
-            * (h[i] - h[i - 1])
-            / (pos[i] - pos[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (pos[j] - pos[i])
+        for i in (1, 2, 3):
+            here = pos[i]
+            drift = desired[i - 1] - here
+            if drift >= 1:
+                if pos[i + 1] - here <= 1:
+                    continue
+                step = 1.0
+            elif drift <= -1:
+                if pos[i - 1] - here >= -1:
+                    continue
+                step = -1.0
+            else:
+                continue
+            below = pos[i - 1]
+            above = pos[i + 1]
+            low = h[i - 1]
+            mid = h[i]
+            high = h[i + 1]
+            # Piecewise-parabolic prediction; linear when it would leave
+            # the neighbours' interval.
+            candidate = mid + step / (above - below) * (
+                (here - below + step) * (high - mid) / (above - here)
+                + (above - here - step) * (mid - low) / (here - below)
+            )
+            if low < candidate < high:
+                h[i] = candidate
+            elif step > 0:
+                h[i] = mid + step * (high - mid) / (above - here)
+            else:
+                h[i] = mid + step * (low - mid) / (below - here)
+            pos[i] = here + step
 
     def value(self) -> float:
         """The current estimate (exact while ``count <= 5``)."""
@@ -143,8 +163,10 @@ class LatencySketch:
     def add(self, value: int) -> None:
         self.count += 1
         self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
         for sketch in self._sketches:
             sketch.add(value)
 
@@ -280,11 +302,11 @@ class LiveCollector:
     # -------------------------------------------------------------- #
     # Inputs
 
-    def observe_span(self, span: "Span") -> None:
-        sketch = self.verb_sketches.get(span.name)
+    def observe_span(self, name: str, cycles: int) -> None:
+        sketch = self.verb_sketches.get(name)
         if sketch is None:
-            sketch = self.verb_sketches[span.name] = LatencySketch()
-        sketch.add(span.cycles)
+            sketch = self.verb_sketches[name] = LatencySketch()
+        sketch.add(cycles)
 
     def observe_request(self, klass: str, cycles: int, refs: int) -> None:
         sketch = self.request_sketches.get(klass)

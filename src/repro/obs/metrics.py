@@ -193,9 +193,9 @@ class Timeline:
 class Metrics:
     """Per-span histograms plus an optional reference timeline.
 
-    The tracer feeds ``observe_span`` once per recorded span; counters
-    stay in the shared Stats object and are merely re-exported here so
-    exporters have one façade over all three shapes.
+    The tracer feeds ``observe_span(name, cycles)`` once per recorded
+    span; counters stay in the shared Stats object and are merely
+    re-exported here so exporters have one façade over all three shapes.
     """
 
     def __init__(
@@ -217,8 +217,8 @@ class Metrics:
         """Re-export of the underlying monotonic counter."""
         return self.stats[name]
 
-    def observe_span(self, span: "Span") -> None:
-        self.histogram(span.name).add(span.cycles)
+    def observe_span(self, name: str, cycles: int) -> None:
+        self.histogram(name).add(cycles)
         if self.timeline is not None:
             self.timeline.observe()
 

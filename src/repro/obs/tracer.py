@@ -13,11 +13,23 @@ arithmetic, the sum of children's inclusive deltas plus the parent's
 exclusive delta reproduces the parent's inclusive delta exactly — no
 event is ever double-counted or lost.
 
-The tracer also maintains a *cycle clock*: the running
+The tracer also maintains a *cycle clock*: the
 :func:`~repro.core.costs.cycles_for` total of every event seen so far,
-advanced incrementally at span boundaries.  Span start/duration
-timestamps are therefore in simulated weighted cycles, which is what the
-Chrome-trace exporter uses as its time axis.
+read at span boundaries.  Span start/duration timestamps are therefore
+in simulated weighted cycles, which is what the Chrome-trace exporter
+uses as its time axis.  A boundary costs O(priced counters): the clock
+is one C-level weighted sum over the names that carry a cycle weight
+(11 to 14 in a serve run), never a scan of every counter; a name created
+since the last boundary is classified once, through the memoized
+:meth:`~repro.core.costs.CycleCosts.weight_for`.
+
+Only a span that is recorded into the forest (``roots``) snapshots the
+whole counter dict, for its delta.  A tracer built with
+``forest=False`` — serve mode, which only wants per-span latencies —
+builds no :class:`Span` at all: each exit hands ``(name, cycles)`` to
+the ``metrics`` sink, and the per-reference ``mem.access`` wrapper is
+two clock reads and that one call (see ``MemorySystem.attach_tracer``).
+Both kinds of tracer feed the sink the same sequence.
 
 Hot-path spans (the per-reference ``mem.access`` span) pass
 ``sample=True`` and are recorded 1-in-N (``sample_every``); sampled-out
@@ -37,6 +49,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import mul
 from typing import Any, Iterator
 
 from repro.core.costs import CycleCosts, DEFAULT_COSTS
@@ -127,7 +141,32 @@ class Span:
 
 
 class _SpanHandle:
-    """Context manager for one recorded span."""
+    """Context manager for one span of a tracer that keeps no forest.
+
+    It builds no :class:`Span`: at exit it hands ``(name, cycles)`` to
+    the tracer's metrics sink, and keeps nothing once the span closes.
+    """
+
+    __slots__ = ("_tracer", "_name", "_start")
+
+    def __init__(self, tracer: "Tracer", name: str, attrs: dict[str, Any]) -> None:
+        self._tracer = tracer
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._start = self._tracer.tick()
+        return None
+
+    def __exit__(self, *exc: object) -> bool:
+        tracer = self._tracer
+        cycles = tracer.tick() - self._start
+        if tracer.metrics is not None:
+            tracer.metrics.observe_span(self._name, cycles)
+        return False
+
+
+class _RecordedSpanHandle:
+    """Context manager for one span recorded into the tracer's forest."""
 
     __slots__ = ("_tracer", "_name", "_attrs", "_span", "_enter_counts")
 
@@ -138,12 +177,11 @@ class _SpanHandle:
 
     def __enter__(self) -> Span:
         tracer = self._tracer
-        counts, clock = tracer._advance()
-        self._enter_counts = counts
+        self._enter_counts = dict(tracer._counts)
         self._span = Span(
             name=self._name,
             attrs=self._attrs,
-            start_cycles=clock,
+            start_cycles=tracer.tick(),
             depth=len(tracer._stack),
         )
         tracer._stack.append(self._span)
@@ -151,7 +189,8 @@ class _SpanHandle:
 
     def __exit__(self, *exc: object) -> bool:
         tracer = self._tracer
-        counts, clock = tracer._advance()
+        clock = tracer.tick()
+        counts = dict(tracer._counts)
         span = self._span
         popped = tracer._stack.pop()
         assert popped is span, "span exit out of order"
@@ -169,7 +208,7 @@ class _SpanHandle:
         else:
             tracer.roots.append(span)
         if tracer.metrics is not None:
-            tracer.metrics.observe_span(span)
+            tracer.metrics.observe_span(span.name, span.cycles)
         return False
 
 
@@ -184,9 +223,16 @@ class Tracer:
         sample_every: Record 1-in-N of the spans opened with
             ``sample=True`` (1 = record all).
         seed: Seed for the sampling RNG — fixed seed, fixed decisions.
-        metrics: Optional :class:`~repro.obs.metrics.Metrics` fed one
-            observation per recorded span.
-        debug: Assert counter monotonicity at every span exit.
+        metrics: Optional sink (:class:`~repro.obs.metrics.Metrics` or
+            :class:`~repro.obs.live.LiveCollector`) whose
+            ``observe_span(name, cycles)`` is called at every recorded
+            span exit, in exit order.
+        debug: Assert counter monotonicity at every span exit of the
+            forest.
+        forest: Keep the span forest (``roots``).  A long-running
+            server passes False: its spans then only feed ``metrics``,
+            and no :class:`Span`, attribute dict or counter delta is
+            built or kept.
     """
 
     active = True
@@ -200,6 +246,7 @@ class Tracer:
         seed: int = 0,
         metrics: "Any | None" = None,
         debug: bool = False,
+        forest: bool = True,
     ) -> None:
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
@@ -208,34 +255,63 @@ class Tracer:
         self.sample_every = sample_every
         self.metrics = metrics
         self.debug = debug
+        self.forest = forest
         self.roots: list[Span] = []
         #: Spans opened with ``sample=True`` that were not recorded.
         self.sampled_out = 0
         self._rng = random.Random(seed)
         self._stack: list[Span] = []
-        self._weights: dict[str, int] = {}
-        self._last_counts: dict[str, int] = stats.as_dict()
+        self._handle = _RecordedSpanHandle if forest else _SpanHandle
+        self._counts = stats.counts_view()
+        self._read = self._counts.__getitem__
+        #: The priced counter names seen so far, and their weights.
+        self._names: list[str] = []
+        self._prices: list[int] = []
+        #: How many counter names (priced or not) have been classified.
+        self._known = 0
+        self._clears = stats.clears
+        self._reprice()
+        #: The priced total that reads as clock 0.
+        self._base = sum(map(mul, map(self._read, self._names), self._prices))
         self._clock = 0
 
     # -- clock ---------------------------------------------------------- #
 
-    def _advance(self) -> tuple[dict[str, int], int]:
-        """Fold counter movement since the last event into the clock."""
-        counts = self.stats.as_dict()
-        last = self._last_counts
-        clock = self._clock
-        weights = self._weights
-        for name, value in counts.items():
-            previous = last.get(name, 0)
-            if value != previous:
-                weight = weights.get(name)
-                if weight is None:
-                    weight = weights[name] = self.costs.weight_for(name)
-                if weight:
-                    clock += (value - previous) * weight
-        self._clock = clock
-        self._last_counts = counts
-        return counts, clock
+    def tick(self) -> int:
+        """Read the cycle clock at a span boundary.
+
+        The clock is the weighted total of the priced counters, one
+        C-level weighted sum over their names; the unpriced counters are
+        never read.  Counter names are only ever added
+        (apart from :meth:`Stats.clear`), so a change in the number of
+        names means new ones to classify.
+        """
+        if len(self._counts) != self._known or self.stats.clears != self._clears:
+            self._reprice()
+        self._clock = clock = (
+            sum(map(mul, map(self._read, self._names), self._prices)) - self._base
+        )
+        return clock
+
+    def _reprice(self) -> None:
+        """Classify the counter names created since the last boundary.
+
+        A counter store keeps insertion order, so the new names are its
+        tail.  After a :meth:`Stats.clear` the vanished names are
+        ignored: the clock keeps its value and the counters that exist
+        now count on from zero, so it never runs backwards.
+        """
+        if self.stats.clears != self._clears:
+            self._clears = self.stats.clears
+            self._names, self._prices, self._known = [], [], 0
+            self._base = -self._clock
+        weight_for = self.costs.weight_for
+        for name in islice(self._counts, self._known, None):
+            weight = weight_for(name)
+            if weight:
+                self._names.append(name)
+                self._prices.append(weight)
+        self._known = len(self._counts)
 
     @property
     def clock_cycles(self) -> int:
@@ -255,7 +331,7 @@ class Tracer:
             if self._rng.randrange(self.sample_every):
                 self.sampled_out += 1
                 return _NULL_SPAN
-        return _SpanHandle(self, name, attrs)
+        return self._handle(self, name, attrs)
 
     def finish(self) -> list[Span]:
         """Close the books: returns the completed top-level spans.

@@ -26,6 +26,10 @@ class Stats:
 
     def __init__(self, initial: Mapping[str, int] | None = None) -> None:
         self._counts: Counter[str] = Counter(initial or {})
+        #: How many times :meth:`clear` has run: the one way counter
+        #: names vanish, which incremental readers (the tracer's cycle
+        #: clock) must notice.
+        self.clears = 0
 
     def inc(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to counter ``name``."""
@@ -172,6 +176,7 @@ class Stats:
 
     def clear(self) -> None:
         self._counts.clear()
+        self.clears += 1
 
     def as_dict(self) -> dict[str, int]:
         """A plain dict copy, for serialization and assertions in tests."""

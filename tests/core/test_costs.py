@@ -4,6 +4,9 @@ advantage, the ~10% VIVT tag overhead)."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,6 +28,8 @@ from repro.core.costs import (
 )
 from repro.core.params import DEFAULT_PARAMS, MachineParams
 from repro.sim.stats import Stats
+
+BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
 
 class TestEntrySizes:
@@ -105,6 +110,42 @@ class TestCycleModel:
         assert costs.weight_for("dcache.hit") == costs.cache_hit
         assert costs.weight_for("sys.dcache.hit") == costs.cache_hit
         assert costs.weight_for("unknown.counter") == 0
+
+    def test_memoized_weight_equals_suffix_scan(self):
+        """Every counter name the committed baselines know is priced the
+        same by the memo, on its first lookup and on a repeat."""
+        names: set[str] = set()
+
+        def collect(node) -> None:
+            if isinstance(node, dict):
+                names.update(node)
+                for value in node.values():
+                    collect(value)
+            elif isinstance(node, list):
+                for value in node:
+                    collect(value)
+
+        for path in sorted(BASELINES.glob("*.json")):
+            collect(json.loads(path.read_text()))
+
+        def scan(costs: CycleCosts, name: str) -> int:
+            for suffix, attr in CycleCosts.WEIGHTS.items():
+                if name == suffix or name.endswith("." + suffix):
+                    return getattr(costs, attr)
+            return 0
+
+        for costs in (CycleCosts(), CycleCosts(kernel_trap=7, cache_miss=3)):
+            for name in sorted(names):
+                expected = scan(costs, name)
+                assert costs.weight_for(name) == expected, name
+                assert costs.weight_for(name) == expected, name
+        priced = [name for name in names if scan(DEFAULT_COSTS, name)]
+        assert len(priced) >= 10, "baselines should cover the priced counters"
+
+    def test_weight_memo_is_per_cost_table(self):
+        assert DEFAULT_COSTS.weight_for("kernel.trap") == DEFAULT_COSTS.kernel_trap
+        assert CycleCosts(kernel_trap=1000).weight_for("kernel.trap") == 1000
+        assert CycleCosts() == DEFAULT_COSTS
 
     def test_cycles_for_weighted_sum(self):
         stats = Stats({"dcache.hit": 10, "kernel.trap": 2, "unpriced": 99})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.costs import DEFAULT_COSTS, cycles_for
 from repro.core.rights import Rights
@@ -232,3 +233,191 @@ class TestChromeRoundTrip:
         # Complete events nest by interval on the shared timeline.
         assert outer["ts"] <= inner["ts"]
         assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
+
+
+class _Recorder:
+    """A metrics sink that keeps every ``(name, cycles)`` it is fed."""
+
+    def __init__(self) -> None:
+        self.seen: list[tuple[str, int]] = []
+
+    def observe_span(self, name: str, cycles: int) -> None:
+        self.seen.append((name, cycles))
+
+
+def _full_scan_clock(stats: Stats):
+    """The clock as a full scan of every counter at each boundary: a
+    reference for the priced-names weighted sum the tracer uses."""
+    last = stats.as_dict()
+    clock = 0
+
+    def advance() -> int:
+        nonlocal last, clock
+        counts = stats.as_dict()
+        for name, value in counts.items():
+            clock += (value - last.get(name, 0)) * DEFAULT_COSTS.weight_for(name)
+        last = counts
+        return clock
+
+    return advance
+
+
+class TestClockEdgeCases:
+    @pytest.mark.parametrize("forest", [True, False])
+    def test_counter_first_created_inside_a_span_is_priced(self, forest):
+        stats = Stats({"refs": 3})
+        sink = _Recorder()
+        tracer = Tracer(stats, metrics=sink, forest=forest)
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                stats.inc("plb.fill", 2)  # a name the tracer never saw
+            stats.inc("x.dcache.miss")
+        fill = 2 * DEFAULT_COSTS.plb_refill
+        assert sink.seen == [("inner", fill), ("outer", fill + DEFAULT_COSTS.cache_miss)]
+        assert tracer.clock_cycles == fill + DEFAULT_COSTS.cache_miss
+
+    @pytest.mark.parametrize("forest", [True, False])
+    def test_unpriced_counters_never_advance_the_clock(self, forest):
+        stats = Stats({"refs": 1})
+        sink = _Recorder()
+        tracer = Tracer(stats, metrics=sink, forest=forest)
+        for round_no in range(5):
+            with tracer.span("s"):
+                stats.inc("refs", 100)
+                stats.inc(f"unpriced.new{round_no}", 7)
+                stats.inc("kernel.syscall.attach")
+        assert sink.seen == [("s", 0)] * 5
+        assert tracer.clock_cycles == 0
+
+    def test_clear_mid_trace_ignores_vanished_names(self):
+        """Stats.clear() between boundaries: what vanished is ignored,
+        the clock keeps its value, and later counts price from zero."""
+        stats = Stats()
+        sink = _Recorder()
+        tracer = Tracer(stats, metrics=sink, forest=False)
+        trap = DEFAULT_COSTS.kernel_trap
+        with tracer.span("before"):
+            stats.inc("kernel.trap", 2)
+        with tracer.span("cleared"):
+            stats.inc("kernel.trap", 5)
+            stats.clear()
+        assert tracer.clock_cycles == 2 * trap
+        with tracer.span("after"):
+            stats.inc("kernel.trap", 1)
+        assert sink.seen == [("before", 2 * trap), ("cleared", 0), ("after", trap)]
+        assert tracer.clock_cycles == 3 * trap
+
+    def test_clear_then_recreate_never_runs_the_clock_backwards(self):
+        stats = Stats()
+        tracer = Tracer(stats)
+        with tracer.span("a"):
+            stats.inc("kernel.trap", 10)
+        with tracer.span("b"):
+            stats.clear()
+            stats.inc("kernel.trap", 1)  # back, far below its old value
+        a, b = tracer.finish()
+        assert b.cycles == DEFAULT_COSTS.kernel_trap
+        assert tracer.clock_cycles == 11 * DEFAULT_COSTS.kernel_trap
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("inc"),
+                st.sampled_from([
+                    "kernel.trap", "plb.fill", "cpu1.dcache.hit", "dcache.miss",
+                    "refs", "unpriced.a", "smp.shootdown.msgs", "tlb.fill",
+                ]),
+                st.integers(0, 50),
+            ),
+            st.tuples(st.just("span"), st.just(""), st.just(0)),
+            st.tuples(st.just("clear"), st.just(""), st.just(0)),
+        ),
+        max_size=60,
+    ))
+    def test_clock_matches_a_full_counter_scan(self, ops):
+        stats = Stats({"refs": 4, "kernel.trap": 1})
+        tracer = Tracer(stats, forest=False)
+        reference = _full_scan_clock(stats)
+        for op, name, amount in ops:
+            if op == "inc":
+                stats.inc(name, amount)
+            elif op == "span":
+                with tracer.span("s"):
+                    pass
+                assert tracer.clock_cycles == reference()
+            else:
+                # A clear is followed by a boundary before any counter
+                # is re-created: there the full scan and the weighted
+                # sum define the same clock.
+                stats.clear()
+                with tracer.span("s"):
+                    pass
+                assert tracer.clock_cycles == reference()
+
+
+def _traced_workloads(forest: bool, model: str):
+    """Small gc, txn and compression runs on ``model`` under one tracer:
+    kernel verbs, faults, paging and references on a 2-CPU kernel."""
+    from repro.workloads.compression import CompressionConfig, CompressionPaging
+    from repro.workloads.gc import ConcurrentGC, GCConfig
+    from repro.workloads.txn import TransactionalVM
+
+    sink = _Recorder()
+    kernel = Kernel(model, n_cpus=2)
+    tracer = Tracer(kernel.stats, metrics=sink, forest=forest)
+    kernel.attach_tracer(tracer)
+    workloads = (
+        ConcurrentGC(
+            kernel,
+            GCConfig(heap_pages=16, collections=2, mutator_refs_per_cycle=200),
+        ),
+        TransactionalVM(kernel),
+        CompressionPaging(
+            kernel, CompressionConfig(segment_pages=24, resident_budget=8, refs=400)
+        ),
+    )
+    for workload in workloads:
+        with tracer.span("serve.request", t_us=0):
+            workload.run()
+    return tracer, sink
+
+
+class TestServeStyleTracer:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_no_forest_feeds_the_same_name_cycles_sequence(self, model):
+        forest_tracer, forest_sink = _traced_workloads(True, model)
+        lean_tracer, lean_sink = _traced_workloads(False, model)
+        assert forest_sink.seen == lean_sink.seen
+        assert any(name == "mem.access" for name, _ in lean_sink.seen)
+        assert lean_tracer.clock_cycles == forest_tracer.clock_cycles
+        assert lean_tracer.finish() == []
+        # The forest tracer's exit-order observations are its spans in
+        # postorder.
+        def postorder(span):
+            for child in span.children:
+                yield from postorder(child)
+            yield span
+
+        recorded = [
+            (span.name, span.cycles)
+            for root in forest_tracer.finish()
+            for span in postorder(root)
+        ]
+        assert recorded == forest_sink.seen
+
+    def test_no_forest_builds_no_span_objects(self, monkeypatch):
+        import repro.obs.tracer as tracer_module
+
+        built = []
+
+        class CountingSpan(tracer_module.Span):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                built.append(self.name)
+
+        monkeypatch.setattr(tracer_module, "Span", CountingSpan)
+        _traced_workloads(False, "plb")
+        assert built == []
+        _traced_workloads(True, "plb")
+        assert built
