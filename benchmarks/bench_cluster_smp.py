@@ -7,8 +7,7 @@ acquisition must then pay two fan-outs: one interconnect message per
 holder node, and one node-local shootdown per remote CPU.  Neither may
 multiply by the page count K: the directory sends `invalidate_range`
 (one wire message per holder), and each receiving node applies it as a
-single batched range shootdown on its ShootdownBus (PR 9's
-`shootdown_range`).
+single batched shootdown on its ShootdownBus.
 
 This bench sweeps nodes x cpus over {1,2,4}^2 for all three protection
 models and records wire messages, holder count, node-local IPIs and

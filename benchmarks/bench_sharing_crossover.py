@@ -56,7 +56,7 @@ def run_churn(model: str, churn: float, seed: int = 17):
         if not segment.contains(vpn):
             return False
         domain = kernel.domains[fault.pd_id]
-        kernel.set_page_rights(domain, vpn, Rights.RW)
+        kernel.set_pages_rights(domain, (vpn,), Rights.RW)
         return True
 
     kernel.add_protection_handler(regrant)
@@ -69,7 +69,7 @@ def run_churn(model: str, churn: float, seed: int = 17):
         if rng.random() < churn:
             victim = rng.choice(domains)
             vpn = segment.vpn_at(rng.randrange(PAGES))
-            kernel.set_page_rights(victim, vpn, Rights.NONE)
+            kernel.set_pages_rights(victim, (vpn,), Rights.NONE)
     return kernel.stats.delta(before)
 
 

@@ -17,7 +17,9 @@ does each memory system replay a reference stream?  Three measurements:
 from __future__ import annotations
 
 import functools
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,13 +30,14 @@ from repro.os.kernel import MODELS, Kernel
 from repro.sim.machine import Machine
 from repro.workloads.tracegen import RefPattern, TraceGenerator
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from check_bench_regression import (  # noqa: E402
+    THROUGHPUT_PAGES as HOT_PAGES,
+    THROUGHPUT_REFS as HOT_REFS,
+    measure_throughput,
+)
+
 REFS = 5_000
-#: Hot-path configuration: 2 pages = 256 lines, resident in the default
-#: 16 KB / 512-line data cache, so almost every reference is a repeat hit.
-HOT_PAGES = 2
-#: Long enough that the memo warmup (two hits per line before a recipe
-#: is recorded) is amortized and the steady-state speedup shows.
-HOT_REFS = 60_000
 SCALE_REFS = 100_000
 SCALE_SHARDS = 4
 SCALE_JOBS = (1, 2, 4)
@@ -76,56 +79,30 @@ def test_replay_throughput(benchmark, model):
 def test_report_throughput(benchmark):
     """The three replay rungs on the hot working set, per model.
 
-    Each mode replays the same trace three times on one machine and
-    keeps the best pass, so the recipe and fused rungs report their
-    steady state (memo warm, runs compiled) rather than the warmup.
+    Measured by the regression guard's own estimator
+    (``tools/check_bench_regression.py --throughput``): each rung
+    replays on a warmed machine, so the recipe and fused rungs report
+    their steady state (memo warm, runs compiled) rather than the
+    warmup, and the figures are medians over interleaved rounds.
     """
-
-    def measure():
-        rows = []
-        for model in MODELS:
-            timing = {}
-            counters = {}
-            for mode, fast, fuse in (
-                ("full", False, False),
-                ("recipe", True, False),
-                ("fused", True, True),
-            ):
-                kernel = Kernel(model)
-                machine = Machine(kernel, fast_path=fast, fuse_runs=fuse)
-                domain = kernel.create_domain("app")
-                segment = kernel.create_segment("data", HOT_PAGES)
-                kernel.attach(domain, segment, Rights.RW)
-                refs = list(
-                    TraceGenerator(99, kernel.params).refs(
-                        domain.pd_id, segment, HOT_REFS, RefPattern()
-                    )
-                )
-                times = []
-                for _ in range(3):
-                    start = time.perf_counter()
-                    machine.run(refs)
-                    times.append(time.perf_counter() - start)
-                timing[mode] = min(times)
-                counters[mode] = kernel.stats.as_dict()
-            assert counters["full"] == counters["recipe"] == counters["fused"], model
-            rows.append([
-                model,
-                f"{HOT_REFS / timing['full'] / 1000:.0f}k refs/s",
-                f"{HOT_REFS / timing['recipe'] / 1000:.0f}k refs/s",
-                f"{HOT_REFS / timing['fused'] / 1000:.0f}k refs/s",
-                f"{timing['full'] / timing['fused']:.2f}x",
-            ])
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    results = benchmark.pedantic(measure_throughput, rounds=1, iterations=1)
+    rows = [
+        [
+            model,
+            f"{cell['full_refs_per_sec'] / 1000:.0f}k refs/s",
+            f"{cell['recipe_refs_per_sec'] / 1000:.0f}k refs/s",
+            f"{cell['fused_refs_per_sec'] / 1000:.0f}k refs/s",
+            f"{cell['fused_speedup']:.2f}x",
+        ]
+        for model, cell in results.items()
+    ]
     benchout.record(
         "Simulator throughput (hot replay: full vs recipe vs fused)",
         format_table(
             ["model", "full path", "recipe path", "fused path", "speedup"], rows,
             title="Wall-clock replay speed per memory system "
-            f"({HOT_REFS} refs, {HOT_PAGES}-page working set, best of 3; "
-            "counters byte-identical in all modes)",
+            f"({HOT_REFS} refs, {HOT_PAGES}-page working set, median of "
+            "interleaved rounds; counters byte-identical in all modes)",
         ),
     )
     assert len(rows) == 3

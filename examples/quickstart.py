@@ -46,7 +46,7 @@ def demo(model: str) -> None:
         print("service write correctly denied (read-only attachment)")
 
     # Per-domain, per-page rights: revoke one page from the app only.
-    kernel.set_page_rights(app, shared.base_vpn, Rights.NONE)
+    kernel.set_pages_rights(app, (shared.base_vpn,), Rights.NONE)
     try:
         machine.read(app, pointer)
     except SegmentationViolation:

@@ -120,15 +120,15 @@ def measure_model(
     costs: dict[str, VerbCost] = {}
 
     before = kernel.stats.snapshot()
-    kernel.set_rights_all_domains(shared.base_vpn, Rights.READ)
+    kernel.set_pages_rights_all_domains((shared.base_vpn,), Rights.READ)
     costs[VERB_ALL_DOMAINS] = _remote_delta(kernel, before)
 
     before = kernel.stats.snapshot()
-    kernel.set_page_rights(domains[1], shared.base_vpn + 1, Rights.READ)
+    kernel.set_pages_rights(domains[1], (shared.base_vpn + 1,), Rights.READ)
     costs[VERB_ONE_DOMAIN] = _remote_delta(kernel, before)
 
     before = kernel.stats.snapshot()
-    kernel.unmap_page(shared.base_vpn + 2)
+    kernel.unmap_pages((shared.base_vpn + 2,))
     costs[VERB_UNMAP] = _remote_delta(kernel, before)
 
     before = kernel.stats.snapshot()

@@ -187,7 +187,9 @@ class DifferentialHarness:
                 kernel.detach(self.domains[model][op.pd], self.segments[model][op.seg])
         elif isinstance(op, opmod.SetPageRights):
             for model, kernel in self.kernels.items():
-                kernel.set_page_rights(self.domains[model][op.pd], op.vpn, op.rights)
+                kernel.set_pages_rights(
+                    self.domains[model][op.pd], (op.vpn,), op.rights
+                )
         elif isinstance(op, opmod.SetSegmentRights):
             for model, kernel in self.kernels.items():
                 kernel.set_segment_rights(
@@ -195,10 +197,10 @@ class DifferentialHarness:
                 )
         elif isinstance(op, opmod.SetRightsAll):
             for kernel in self.kernels.values():
-                kernel.set_rights_all_domains(op.vpn, op.rights)
+                kernel.set_pages_rights_all_domains((op.vpn,), op.rights)
         elif isinstance(op, opmod.PageOut):
             for kernel in self.kernels.values():
-                kernel.free_page(op.vpn)
+                kernel.free_pages((op.vpn,))
             self.pfns.pop(op.vpn, None)
         elif isinstance(op, opmod.PageIn):
             for kernel in self.kernels.values():

@@ -252,13 +252,13 @@ class ClusterDSM:
                 # Idempotent: freeze to a read-only shared copy and
                 # return the current image for the home-store sync.
                 data = node.read_page(msg.vpn)
-                node._set_local_rights(msg.vpn, Rights.READ)
+                node._set_local_rights((msg.vpn,), Rights.READ)
                 return Message(
                     "demote_ack", src=nid, dst=msg.src, vpn=msg.vpn,
                     ok=data is not None, payload=data,
                 )
             if kind == "invalidate":
-                node._set_local_rights(msg.vpn, Rights.NONE)
+                node._set_local_rights((msg.vpn,), Rights.NONE)
                 self._valid[msg.vpn].discard(nid)
                 return Message(
                     "invalidate_ack", src=nid, dst=msg.src, vpn=msg.vpn
@@ -270,7 +270,7 @@ class ClusterDSM:
                 # interconnect message fans out to the node's M CPUs as
                 # one range shootdown per remote CPU — never as
                 # len(vpns) per-page IPIs.
-                node._set_local_rights_range(msg.vpns, Rights.NONE)
+                node._set_local_rights(msg.vpns, Rights.NONE)
                 for vpn in msg.vpns:
                     self._valid[vpn].discard(nid)
                 if node.kernel.n_cpus > 1:
@@ -462,7 +462,7 @@ class ClusterDSM:
                     heir = live[0]
                     heir_node = self.nodes[heir]
                     heir_node.write_page(vpn, self.home[vpn])
-                    heir_node._set_local_rights(vpn, Rights.READ)
+                    heir_node._set_local_rights((vpn,), Rights.READ)
                     self._valid[vpn] = {heir}
                     entry.owner = heir
                     self.stats.inc("cluster.recovery.restored")
@@ -686,7 +686,7 @@ class ClusterDSM:
             entry.state = CopyState.SHARED
             entry.copyset.add(nid)
             entry.lease_until = 0
-            node._set_local_rights(vpn, Rights.READ)
+            node._set_local_rights((vpn,), Rights.READ)
             return
         raise ClusterTimeoutError(
             f"get_readable({vpn:#x}) could not complete after recovery"
@@ -751,7 +751,7 @@ class ClusterDSM:
                 self._valid[vpn] = {nid}
             # The local grant is ONE batched verb for the whole set (a
             # single page keeps the legacy per-page path and counters).
-            node._set_local_rights_range(vpns, Rights.RW)
+            node._set_local_rights(vpns, Rights.RW)
             return
         raise ClusterTimeoutError(
             f"get_writable_range({', '.join(f'{vpn:#x}' for vpn in vpns)}) "
@@ -797,7 +797,7 @@ class ClusterDSM:
             else:
                 entitled = Rights.NONE
             if node.local_rights(vpn) != entitled:
-                node._set_local_rights(vpn, entitled)
+                node._set_local_rights((vpn,), entitled)
                 repaired += 1
                 self.stats.inc("cluster.reconcile.repairs")
         return repaired

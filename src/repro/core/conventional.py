@@ -57,19 +57,9 @@ class LinearPageTable:
     def lookup(self, vpn: int) -> LinearPTE | None:
         return self._entries.get(vpn)
 
-    def set_rights(self, vpn: int, rights: Rights) -> bool:
-        entry = self._entries.get(vpn)
-        if entry is None:
-            return False
-        entry.rights = rights
-        return True
-
     def set_rights_many(self, vpns, rights: Rights) -> int:
-        """Rewrite rights for a VPN batch; returns entries changed.
-
-        One table pass backing the batched per-domain sweep of a range
-        verb on the conventional model.
-        """
+        """Rewrite rights for a VPN set's mapped pages; returns entries
+        changed."""
         changed = 0
         entries = self._entries
         for vpn in vpns:

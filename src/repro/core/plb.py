@@ -247,60 +247,26 @@ class ProtectionLookasideBuffer:
         self.stats.inc(f"{self.name}.sweep_updated", changed)
         return inspected, changed
 
-    def update_entries_for_page(
-        self,
-        vpn: int,
-        rights: Rights,
-        pd_id: int | None = None,
-    ) -> tuple[int, int]:
-        """Rewrite rights in place on every resident entry for a page.
-
-        With ``pd_id`` given, only that domain's entries change; otherwise
-        all domains' entries for the page are rewritten — the Table 1
-        "Invalidate: set access rights to none in the PLB" operation,
-        whose cost is "the number of entries changed depends on the
-        number of domains that have access to the page" (Section 4.1.3).
-
-        Superpage or sub-page entries overlapping the page cannot be
-        rewritten in place (the new rights apply to one page, not the
-        whole unit); those are removed and refault at page granularity.
-        Returns ``(inspected, changed)`` where removed entries count as
-        changed.
-        """
-        inspected = 0
-        changed = 0
-        doomed: list[PLBKey] = []
-        for key, entry in self._store.items():
-            inspected += 1
-            if pd_id is not None and key.pd_id != pd_id:
-                continue
-            if not self._overlaps(key, vpn, vpn + 1):
-                continue
-            if key.level == 0:
-                entry.rights = rights
-            else:
-                doomed.append(key)
-            changed += 1
-        for key in doomed:
-            self._store.invalidate(key)
-        self.stats.inc(f"{self.name}.sweep_inspected", inspected)
-        self.stats.inc(f"{self.name}.sweep_updated", changed)
-        return inspected, changed
-
     def update_entries_for_pages(
         self,
         vpns,
         rights: Rights,
         pd_id: int | None = None,
     ) -> tuple[int, int]:
-        """Rewrite rights for a whole VPN batch in ONE store pass.
+        """Rewrite rights in place on every resident entry for a VPN set.
 
-        The range-shootdown fast path: a batched verb over K pages
-        sweeps all levels once, instead of K independent
-        :meth:`update_entries_for_page` passes — the per-entry effect
-        (level-0 rewritten in place, super/sub-page overlaps removed to
-        refault at page granularity) is identical.  Returns
-        ``(inspected, changed)``.
+        With ``pd_id`` given, only that domain's entries change; otherwise
+        all domains' entries for the pages are rewritten — the Table 1
+        "Invalidate: set access rights to none in the PLB" operation,
+        whose cost is "the number of entries changed depends on the
+        number of domains that have access to the page" (Section 4.1.3).
+        One store pass covers the whole set.
+
+        Superpage or sub-page entries overlapping a page cannot be
+        rewritten in place (the new rights apply to one page, not the
+        whole unit); those are removed and refault at page granularity.
+        Returns ``(inspected, changed)`` where removed entries count as
+        changed.
         """
         wanted = set(vpns)
         inspected = 0
@@ -313,12 +279,11 @@ class ProtectionLookasideBuffer:
             if key.level == 0:
                 if key.unit not in wanted:
                     continue
-            elif not any(self._overlaps(key, vpn, vpn + 1) for vpn in wanted):
-                continue
-            if key.level == 0:
                 entry.rights = rights
-            else:
+            elif any(self._overlaps(key, vpn, vpn + 1) for vpn in wanted):
                 doomed.append(key)
+            else:
+                continue
             changed += 1
         for key in doomed:
             self._store.invalidate(key)

@@ -200,13 +200,13 @@ class ChaosHarness:
             elif isinstance(op, opmod.Detach):
                 kernel.detach(self.domains[op.pd], self.segments[op.seg])
             elif isinstance(op, opmod.SetPageRights):
-                kernel.set_page_rights(self.domains[op.pd], op.vpn, op.rights)
+                kernel.set_pages_rights(self.domains[op.pd], (op.vpn,), op.rights)
             elif isinstance(op, opmod.SetSegmentRights):
                 kernel.set_segment_rights(
                     self.domains[op.pd], self.segments[op.seg], op.rights
                 )
             elif isinstance(op, opmod.SetRightsAll):
-                kernel.set_rights_all_domains(op.vpn, op.rights)
+                kernel.set_pages_rights_all_domains((op.vpn,), op.rights)
             elif isinstance(op, opmod.PageOut):
                 self._pager().page_out(op.vpn)
             elif isinstance(op, opmod.PageIn):
@@ -559,7 +559,7 @@ def _prepare_move(fx: _Fixture):
     group = fx.kernel.create_page_group()
     fx.a.grant_group(group)
     return (
-        lambda: fx.kernel.move_page_to_group(fx.v0, group, rights=Rights.READ)
+        lambda: fx.kernel.move_pages_to_group((fx.v0,), group, rights=Rights.READ)
     ), [fx.v0]
 
 

@@ -224,7 +224,7 @@ class IntentJournal:
             if snap.data is not None:
                 kernel.memory.write_page(frame.pfn, snap.data)
         elif not snap.resident and resident_now:
-            kernel.free_page(vpn)
+            kernel.free_pages((vpn,))
         elif snap.resident and resident_now and snap.data is not None:
             pfn = kernel.translations.pfn_for(vpn)
             if kernel.memory.read_page(pfn) != snap.data:

@@ -135,22 +135,22 @@ class TranslationTLB:
         self.stats.inc(f"{self.name}.fill")
         return entry
 
-    def invalidate(self, vpn: int) -> bool:
-        """Drop the translation covering ``vpn`` (any level)."""
-        for level in self.levels:
-            if self._cache.invalidate((level, vpn >> level)):
-                self.stats.inc(f"{self.name}.invalidate")
-                return True
-        return False
-
     def invalidate_pages(self, vpns) -> int:
-        """Drop the translations covering a VPN batch in one sweep.
+        """Drop the translations covering a VPN set; returns entries gone.
 
-        The range-shootdown fast path: instead of probing every level
-        per page, one associative pass removes every entry whose
-        ``(level, unit)`` covers a batched page.  Returns entries
-        removed; accounting matches ``invalidate`` per entry.
+        One page is an indexed probe, highest level first, that stops at
+        the first covering entry.  A batch is one associative pass that
+        removes every entry whose ``(level, unit)`` covers a batched
+        page, instead of probing every level per page.  Either way each
+        removed entry charges ``{name}.invalidate``.
         """
+        if len(vpns) == 1:
+            vpn = vpns[0]
+            for level in self.levels:
+                if self._cache.invalidate((level, vpn >> level)):
+                    self.stats.inc(f"{self.name}.invalidate")
+                    return 1
+            return 0
         units = {(level, vpn >> level) for vpn in vpns for level in self.levels}
         _, removed = self._cache.sweep(lambda key, _entry: key in units)
         if removed:
@@ -237,36 +237,20 @@ class AIDTaggedTLB:
         self._cache.fill(vpn, entry)
         return entry
 
-    def update(self, vpn: int, *, rights: Rights | None = None, aid: int | None = None) -> bool:
-        """Rewrite the rights and/or AID of a resident entry.
+    def update_pages(self, vpns, *, rights: Rights | None = None,
+                     aid: int | None = None) -> int:
+        """Rewrite the rights and/or AID of a VPN set's resident entries.
 
         This is the page-group model's cheap path for protection changes
         that affect *all* domains (Table 1: "the change is easily made in
-        a single TLB entry").
+        a single TLB entry"): one indexed probe per page.  Returns
+        entries changed, each charging ``{name}.update``.
         """
-        entry = self._cache.peek(vpn)
-        if entry is None:
-            return False
-        if rights is not None:
-            entry.rights = rights
-        if aid is not None:
-            entry.aid = aid
-        self.stats.inc(f"{self._cache.name}.update")
-        return True
-
-    def update_pages(self, vpns, *, rights: Rights | None = None,
-                     aid: int | None = None) -> int:
-        """Rewrite rights and/or AID for every resident page of a batch.
-
-        The range-shootdown fast path: one pass over the store applies a
-        whole batched verb (e.g. "move K pages into a group") instead of
-        K independent probes.  Returns entries changed; accounting
-        matches ``update`` per entry.
-        """
-        wanted = set(vpns)
         changed = 0
-        for vpn, entry in self._cache.items():
-            if vpn in wanted:
+        peek = self._cache.peek
+        for vpn in vpns:
+            entry = peek(vpn)
+            if entry is not None:
                 if rights is not None:
                     entry.rights = rights
                 if aid is not None:
@@ -276,11 +260,14 @@ class AIDTaggedTLB:
             self.stats.inc(f"{self._cache.name}.update", changed)
         return changed
 
-    def invalidate(self, vpn: int) -> bool:
-        return self._cache.invalidate(vpn)
-
     def invalidate_pages(self, vpns) -> int:
-        """Drop every resident entry of a VPN batch in one sweep."""
+        """Drop a VPN set's resident entries; returns entries removed.
+
+        One page is an indexed probe (``{name}.invalidate``); a batch is
+        one associative sweep (``{name}.sweep*``).
+        """
+        if len(vpns) == 1:
+            return int(self._cache.invalidate(vpns[0]))
         wanted = set(vpns)
         _, removed = self._cache.sweep(lambda vpn, _entry: vpn in wanted)
         return removed
@@ -344,26 +331,18 @@ class ASIDTaggedTLB:
         self._cache.fill((asid, vpn), entry)
         return entry
 
-    def update_rights(self, asid: int, vpn: int, rights: Rights) -> bool:
-        entry = self._cache.peek((asid, vpn))
-        if entry is None:
-            return False
-        entry.rights = rights
-        self.stats.inc(f"{self._cache.name}.update")
-        return True
-
     def update_rights_pages(self, asid: int, vpns, rights: Rights) -> int:
-        """Rewrite one domain's rights for a VPN batch in one pass.
+        """Rewrite one domain's rights for a VPN set, one probe per page.
 
-        The conventional model's range-shootdown fast path: the batch
-        still only reaches ONE domain's replicas (they are tagged with
-        its ASID) — the per-domain message cost of §4.1.3 survives
-        batching.  Returns entries changed.
+        A rights change reaches only ONE domain's replicas (they are
+        tagged with its ASID) — the per-domain message cost of §4.1.3
+        survives batching.  Returns entries changed.
         """
-        wanted = set(vpns)
         changed = 0
-        for (entry_asid, vpn), entry in self._cache.items():
-            if entry_asid == asid and vpn in wanted:
+        peek = self._cache.peek
+        for vpn in vpns:
+            entry = peek((asid, vpn))
+            if entry is not None:
                 entry.rights = rights
                 changed += 1
         if changed:
@@ -371,18 +350,14 @@ class ASIDTaggedTLB:
         return changed
 
     def invalidate_pages(self, vpns) -> tuple[int, int]:
-        """Remove every domain's replicas of a VPN batch in one sweep."""
-        wanted = set(vpns)
-        return self._cache.sweep(lambda key, _entry: key[1] in wanted)
-
-    def invalidate_page(self, vpn: int) -> tuple[int, int]:
-        """Remove every domain's replica of a page's translation.
+        """Remove every domain's replicas of a VPN set's translations.
 
         Returns ``(inspected, removed)``: the associative sweep the kernel
         must perform to keep replicated entries coherent when a mapping
         changes (Section 3.1).
         """
-        return self._cache.sweep(lambda key, _: key[1] == vpn)
+        wanted = set(vpns)
+        return self._cache.sweep(lambda key, _entry: key[1] in wanted)
 
     def invalidate_domain(self, asid: int) -> tuple[int, int]:
         """Remove all entries belonging to one address space."""

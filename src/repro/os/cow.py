@@ -92,9 +92,10 @@ class CopyOnWriteManager:
         if kernel.model == "pagegroup":
             # The source group's pages become read-only while shared;
             # update resident TLB entries.
-            for src_vpn in source.vpns():
-                if src_vpn in self._shares:
-                    kernel.system.tlb.update(src_vpn, rights=Rights.READ)  # type: ignore[attr-defined]
+            kernel.system.tlb.update_pages(  # type: ignore[attr-defined]
+                [vpn for vpn in source.vpns() if vpn in self._shares],
+                rights=Rights.READ,
+            )
         return copy
 
     def _demote_all_domains(self, vpn: int) -> None:
@@ -111,7 +112,7 @@ class CopyOnWriteManager:
                 )
                 self._intended[key] = current
             if kernel.model != "pagegroup":
-                kernel.set_page_rights(domain, vpn, Rights.READ)
+                kernel.set_pages_rights(domain, (vpn,), Rights.READ)
 
     # ------------------------------------------------------------------ #
     # Attachment
@@ -126,7 +127,7 @@ class CopyOnWriteManager:
             if vpn in self._shares:
                 self._intended[(domain.pd_id, vpn)] = rights
                 if kernel.model != "pagegroup":
-                    kernel.set_page_rights(domain, vpn, Rights.READ)
+                    kernel.set_pages_rights(domain, (vpn,), Rights.READ)
 
     # ------------------------------------------------------------------ #
     # Breaking shares
@@ -147,9 +148,9 @@ class CopyOnWriteManager:
         domain = self.kernel.domains[fault.pd_id]
         intended = self._intended.pop((fault.pd_id, vpn), Rights.RW)
         if self.kernel.model == "pagegroup":
-            self.kernel.set_page_rights_global(vpn, intended)
+            self.kernel.set_pages_rights_global((vpn,), intended)
         else:
-            self.kernel.set_page_rights(domain, vpn, intended)
+            self.kernel.set_pages_rights(domain, (vpn,), intended)
         return True
 
     def break_share(self, vpn: int) -> None:
@@ -165,13 +166,13 @@ class CopyOnWriteManager:
         kernel.stats.inc("cow.breaks")
         if len(group.vpns) >= 1:
             # Others still share the old frame; this page gets a copy.
-            # unmap_page does the full demotion dance — cache flush, TLB
+            # unmap_pages does the full demotion dance — cache flush, TLB
             # invalidation (including any superpage entry covering the
             # page) and contiguous-segment demotion — and returns the
             # frame *without* releasing it, which is exactly right: the
             # remaining sharers still own it.
             data = kernel.memory.read_page(group.pfn)
-            kernel.unmap_page(vpn)
+            kernel.unmap_pages((vpn,))
             new_pfn = kernel.populate_page(vpn)
             if data is not None:
                 kernel.memory.write_page(new_pfn, data)
@@ -196,12 +197,12 @@ class CopyOnWriteManager:
                 intended = self._intended.pop((domain.pd_id, vpn), None)
                 if intended is not None:
                     rights |= intended
-            kernel.set_page_rights_global(vpn, rights)
+            kernel.set_pages_rights_global((vpn,), rights)
             return
         for domain in kernel.attached_domains(segment):
             intended = self._intended.pop((domain.pd_id, vpn), None)
             if intended is not None:
-                kernel.set_page_rights(domain, vpn, intended)
+                kernel.set_pages_rights(domain, (vpn,), intended)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -181,7 +181,7 @@ class UserLevelPager:
                     # rights back and leave the page resident.
                     self._restore_access(vpn, state)
                     raise
-                kernel.free_page(vpn)
+                kernel.free_pages((vpn,))
                 kernel._verb_step("freed")
                 kernel.translations.mark_on_disk(vpn, True)
                 self._evicted[vpn] = state
@@ -196,7 +196,7 @@ class UserLevelPager:
             state.aid = kernel.group_table.aid_of(vpn)
             state.rights = kernel.group_table.rights_of(vpn)
             assert self.server_group is not None
-            kernel.move_page_to_group(vpn, self.server_group, rights=Rights.RW)
+            kernel.move_pages_to_group((vpn,), self.server_group, rights=Rights.RW)
         else:
             segment = kernel.segment_at(vpn)
             overrides: dict[int, Rights | None] = {}
@@ -204,7 +204,7 @@ class UserLevelPager:
                 for domain in kernel.attached_domains(segment):
                     overrides[domain.pd_id] = domain.page_overrides.get(vpn)
             state.overrides = overrides
-            kernel.set_rights_all_domains(vpn, Rights.NONE)
+            kernel.set_pages_rights_all_domains((vpn,), Rights.NONE)
 
     # ------------------------------------------------------------------ #
     # Page-in
@@ -229,7 +229,7 @@ class UserLevelPager:
                 except Exception:
                     # Unwind the populate so the page (and the eviction
                     # record) are exactly as before the attempt.
-                    kernel.free_page(vpn)
+                    kernel.free_pages((vpn,))
                     raise
                 kernel.backing.discard(vpn)
                 kernel.translations.mark_on_disk(vpn, False)
@@ -244,7 +244,7 @@ class UserLevelPager:
         kernel = self.kernel
         if kernel.model == "pagegroup":
             assert state.aid is not None and state.rights is not None
-            kernel.move_page_to_group(vpn, state.aid, rights=state.rights)
+            kernel.move_pages_to_group((vpn,), state.aid, rights=state.rights)
             return
         segment = kernel.segment_at(vpn)
         if segment is None or state.overrides is None:
@@ -263,8 +263,8 @@ class UserLevelPager:
             # (Section 4.1.3), so a stale inaccessible entry may still
             # be resident; rewrite it with the restored rights.
             if isinstance(kernel.system, PLBSystem):
-                kernel.system.plb.update_entries_for_page(
-                    vpn, effective, pd_id=domain.pd_id
+                kernel.system.plb.update_entries_for_pages(
+                    (vpn,), effective, pd_id=domain.pd_id
                 )
 
     # ------------------------------------------------------------------ #

@@ -111,10 +111,10 @@ class AppendOnlyLogServer:
             self._frontier_group = kernel.create_page_group()
             for index, vpn in enumerate(segment.vpns()):
                 if index == self.frontier:
-                    kernel.move_page_to_group(vpn, self._frontier_group,
+                    kernel.move_pages_to_group((vpn,), self._frontier_group,
                                               rights=Rights.RW)
                 else:
-                    kernel.set_page_rights_global(vpn, Rights.READ)
+                    kernel.set_pages_rights_global((vpn,), Rights.READ)
         registry.register(segment, self)
 
     def admit(self, domain: ProtectionDomain, *, reader_only: bool = False) -> None:
@@ -128,8 +128,8 @@ class AppendOnlyLogServer:
         else:
             # Domain-page models: per-domain write access on the
             # frontier page.
-            self.kernel.set_page_rights(
-                domain, self.segment.vpn_at(self.frontier), Rights.RW
+            self.kernel.set_pages_rights(
+                domain, (self.segment.vpn_at(self.frontier),), Rights.RW
             )
 
     def _advance_frontier(self) -> bool:
@@ -140,16 +140,16 @@ class AppendOnlyLogServer:
         frontier_vpn = self.segment.vpn_at(self.frontier)
         if self._frontier_group is not None:
             # Two page-to-group moves, regardless of how many appenders.
-            self.kernel.move_page_to_group(sealed_vpn, self.segment.aid,
+            self.kernel.move_pages_to_group((sealed_vpn,), self.segment.aid,
                                            rights=Rights.READ)
-            self.kernel.move_page_to_group(frontier_vpn, self._frontier_group,
+            self.kernel.move_pages_to_group((frontier_vpn,), self._frontier_group,
                                            rights=Rights.RW)
         else:
             # One pair of per-domain updates per appender.
             for pd_id in self._appenders:
                 domain = self.kernel.domains[pd_id]
-                self.kernel.set_page_rights(domain, sealed_vpn, Rights.READ)
-                self.kernel.set_page_rights(domain, frontier_vpn, Rights.RW)
+                self.kernel.set_pages_rights(domain, (sealed_vpn,), Rights.READ)
+                self.kernel.set_pages_rights(domain, (frontier_vpn,), Rights.RW)
         self.kernel.stats.inc("segserver.log_page_sealed")
         return True
 

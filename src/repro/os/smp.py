@@ -85,19 +85,19 @@ class ShootdownMessage:
         kind: str,
         verb: str,
         cpu: int,
-        action: Callable[[MemorySystem], int],
+        action: Callable[[MemorySystem, tuple[int, ...] | None], int],
+        pages: tuple[int, ...] | None,
         *,
         remote: bool,
-        pages: tuple[int, ...] | None = None,
     ) -> None:
         self.kind = kind
         self.verb = verb
         self.cpu = cpu
         self.remote = remote
-        #: The VPN set a batched (range) message covers, or ``None`` for
-        #: a classic single-invalidation message.  The action already
-        #: closes over the set; this is carried for observability and so
-        #: the fault injector intercepts the batch as one unit.
+        #: The VPN set the action applies to, or ``None`` for a verb
+        #: whose one action names its own target (a segment, a group).
+        #: The injector intercepts the message — the whole set — as one
+        #: unit.
         self.pages = pages
         self._action = action
         self._kernel = kernel
@@ -106,7 +106,7 @@ class ShootdownMessage:
         """Deliver: apply the invalidation on the target CPU."""
         kernel = self._kernel
         ctx = kernel.cpus[self.cpu]
-        entries = int(self._action(ctx.system) or 0)
+        entries = int(self._action(ctx.system, self.pages) or 0)
         kernel.bump_epoch_for_cpu(self.cpu)
         if self.remote:
             prefix = "smp.shootdown" if self.kind == PROTECTION else "smp.tlb_shootdown"
@@ -134,113 +134,62 @@ class ShootdownBus:
         self.kernel = kernel
         #: Injector hook: ``fn(message) -> bool`` (True = intercepted).
         self.hook: Callable[[ShootdownMessage], bool] | None = None
-        #: When True (the default), :meth:`shootdown_range` coalesces a
-        #: multi-page verb into one message per target CPU.  When False
-        #: it degenerates to the legacy one-message-per-page loop — the
-        #: ``--no-batch`` A/B measurement path.
+        #: When True (the default), :meth:`shootdown` carries a page
+        #: batch in one message per target CPU.  When False it sends the
+        #: legacy one message per page — the ``--no-batch`` A/B
+        #: measurement path.
         self.batch = True
 
     def shootdown(
         self,
         verb: str,
-        action: Callable[[MemorySystem], int],
-        *,
-        kind: str = PROTECTION,
-        predicate: Callable[[CpuContext], bool] | None = None,
-        include_local: bool = True,
-        pages: tuple[int, ...] | None = None,
-    ) -> None:
-        """Apply ``action`` locally, then broadcast it to remote CPUs.
-
-        ``action(system) -> entries`` performs the model's hardware
-        invalidation against one CPU's structures and returns how many
-        entries it touched.  ``predicate`` restricts delivery to CPUs
-        where it holds (e.g. holder drops only reach CPUs running the
-        revoked domain).  ``include_local=False`` broadcasts to remotes
-        only (used when the verb already did the local work itself).
-        ``pages`` annotates range verbs whose single action already
-        covers a page span (detach, segment rights sweeps) — it changes
-        no accounting, only what the message carries.
-        """
-        kernel = self.kernel
-        cpus = kernel.cpus
-        local_id = kernel.current_cpu
-        if include_local and (predicate is None or predicate(cpus[local_id])):
-            self._deliver(
-                ShootdownMessage(
-                    kernel, kind, verb, local_id, action, remote=False, pages=pages
-                )
-            )
-        if len(cpus) == 1:
-            return
-        stats = kernel.stats
-        for ctx in cpus:
-            if ctx.cpu_id == local_id:
-                continue
-            if predicate is not None and not predicate(ctx):
-                continue
-            prefix = "smp.shootdown" if kind == PROTECTION else "smp.tlb_shootdown"
-            stats.inc(f"{prefix}.msgs")
-            stats.inc(f"{prefix}.verb.{verb}")
-            self._deliver(
-                ShootdownMessage(
-                    kernel, kind, verb, ctx.cpu_id, action, remote=True, pages=pages
-                )
-            )
-
-    def shootdown_range(
-        self,
-        verb: str,
-        pages,
-        action_factory: Callable[[tuple[int, ...]], Callable[[MemorySystem], int]],
+        pages: tuple[int, ...] | None,
+        action: Callable[[MemorySystem, tuple[int, ...] | None], int],
         *,
         kind: str = PROTECTION,
         predicate: Callable[[CpuContext], bool] | None = None,
         include_local: bool = True,
     ) -> None:
-        """Coalesce a multi-page verb into ONE message per target CPU.
+        """Apply ``action`` on the issuing CPU, then send it to remote CPUs.
 
-        ``action_factory(pages) -> action`` builds the invalidation that
-        applies a whole VPN batch to one CPU's hardware in a single
-        sweep (the per-model range fast paths in ``core/plb.py``,
-        ``hardware/tlb.py`` etc.).  Each eligible remote CPU receives one
-        message carrying the full page set — so a K-page verb costs one
-        IPI, not K — and, because a message fires once, the target's
-        mutation epoch bumps once per batch.  The injector intercepts
-        the batch as a unit: a drop loses the whole batch, a delay
-        replays it atomically.
+        ``action(system, pages) -> entries`` performs the model's
+        hardware invalidation of the VPN set ``pages`` against one CPU's
+        structures and returns how many entries it touched; a verb whose
+        action names its own target (detach, segment rights, group
+        revocation) passes ``pages=None``.  ``predicate`` restricts
+        delivery to CPUs where it holds (e.g. holder drops only reach
+        CPUs running the revoked domain).  ``include_local=False``
+        sends to remote CPUs only (the verb did the local work itself).
 
-        With ``bus.batch`` False this degenerates to the legacy per-page
-        loop (one classic :meth:`shootdown` per page, identical legacy
-        accounting) — the ``--no-batch`` comparison path.
+        Each eligible remote CPU receives ONE message carrying the whole
+        page set — a K-page verb costs one IPI, not K — and, because a
+        message fires once, the target's mutation epoch bumps once.  A
+        message carrying more than one page is a batch and also charges
+        ``.batches`` and ``.batched_entries``; a 1-page message is a
+        plain one.  With ``bus.batch`` False a K-page set goes out as K
+        1-page deliveries — the ``--no-batch`` comparison path.
         """
-        pages = tuple(pages)
-        if not pages:
-            return
-        if not self.batch:
+        if not self.batch and pages is not None and len(pages) > 1:
             for vpn in pages:
                 self.shootdown(
-                    verb,
-                    action_factory((vpn,)),
-                    kind=kind,
-                    predicate=predicate,
-                    include_local=include_local,
+                    verb, (vpn,), action,
+                    kind=kind, predicate=predicate, include_local=include_local,
                 )
             return
         kernel = self.kernel
         cpus = kernel.cpus
         local_id = kernel.current_cpu
-        action = action_factory(pages)
         if include_local and (predicate is None or predicate(cpus[local_id])):
             self._deliver(
                 ShootdownMessage(
-                    kernel, kind, verb, local_id, action, remote=False, pages=pages
+                    kernel, kind, verb, local_id, action, pages, remote=False
                 )
             )
         if len(cpus) == 1:
             return
         stats = kernel.stats
         prefix = "smp.shootdown" if kind == PROTECTION else "smp.tlb_shootdown"
+        batch = 0 if pages is None or len(pages) == 1 else len(pages)
         for ctx in cpus:
             if ctx.cpu_id == local_id:
                 continue
@@ -248,24 +197,14 @@ class ShootdownBus:
                 continue
             stats.inc(f"{prefix}.msgs")
             stats.inc(f"{prefix}.verb.{verb}")
-            stats.inc(f"{prefix}.batches")
-            stats.inc(f"{prefix}.batched_entries", len(pages))
+            if batch:
+                stats.inc(f"{prefix}.batches")
+                stats.inc(f"{prefix}.batched_entries", batch)
             self._deliver(
                 ShootdownMessage(
-                    kernel, kind, verb, ctx.cpu_id, action, remote=True, pages=pages
+                    kernel, kind, verb, ctx.cpu_id, action, pages, remote=True
                 )
             )
-
-    def broadcast_remote(
-        self,
-        verb: str,
-        action: Callable[[MemorySystem], int],
-        *,
-        kind: str = PROTECTION,
-        predicate: Callable[[CpuContext], bool] | None = None,
-    ) -> None:
-        """Broadcast to remote CPUs only (local work already done)."""
-        self.shootdown(verb, action, kind=kind, predicate=predicate, include_local=False)
 
     def _deliver(self, message: ShootdownMessage) -> None:
         hook = self.hook

@@ -127,9 +127,9 @@ class ConcurrentCheckpoint:
         kernel.backing.write(vpn, data)
         if kernel.model == "pagegroup":
             assert self._rw_group is not None
-            kernel.move_page_to_group(vpn, self._rw_group, rights=Rights.RW)
+            kernel.move_pages_to_group((vpn,), self._rw_group, rights=Rights.RW)
         else:
-            kernel.set_page_rights(self.app, vpn, Rights.RW)
+            kernel.set_pages_rights(self.app, (vpn,), Rights.RW)
         self._pending.discard(vpn)
         self.report.pages_checkpointed += 1
 

@@ -166,9 +166,9 @@ class ConcurrentGC:
 
         if kernel.model == "pagegroup":
             assert self._scanned_group is not None
-            kernel.move_page_to_group(vpn, self._scanned_group, rights=Rights.RW)
+            kernel.move_pages_to_group((vpn,), self._scanned_group, rights=Rights.RW)
         else:
-            kernel.set_page_rights(self.mutator, vpn, Rights.RW)
+            kernel.set_pages_rights(self.mutator, (vpn,), Rights.RW)
         self._scanned.add(vpn)
         self.report.pages_scanned += 1
 

@@ -155,7 +155,7 @@ class TransactionalVM:
         if kernel.model != "pagegroup":
             # "Set the read bit in the PLB entry for the transaction's
             # domain" — one per-domain, per-page update.
-            kernel.set_page_rights(domain, vpn, rights)
+            kernel.set_pages_rights(domain, (vpn,), rights)
             return
         if self.config.lock_strategy == "domain":
             aid = self._domain_lock_group.get(domain.pd_id)
@@ -168,15 +168,15 @@ class TransactionalVM:
                 # A read-shared page bouncing between domains' private
                 # lock groups — the alternation §4.1.2 warns about.
                 self.report.group_alternations += 1
-            kernel.move_page_to_group(vpn, aid, rights=rights)
+            kernel.move_pages_to_group((vpn,), aid, rights=rights)
         else:  # per-page lock groups
             aid = self._page_lock_group.get(vpn)
             if aid is None:
                 aid = kernel.create_page_group()
                 self._page_lock_group[vpn] = aid
-                kernel.move_page_to_group(vpn, aid, rights=rights)
+                kernel.move_pages_to_group((vpn,), aid, rights=rights)
             else:
-                kernel.set_page_rights_global(vpn, rights)
+                kernel.set_pages_rights_global((vpn,), rights)
             if not domain.holds_group(aid):
                 kernel.grant_group(domain, aid)
 
@@ -205,7 +205,7 @@ class TransactionalVM:
             # change the access rights to inaccessible."  Rights are
             # per-domain, so only this transaction's entries change.
             for vpn in locked:
-                kernel.set_page_rights(domain, vpn, Rights.NONE)
+                kernel.set_pages_rights(domain, (vpn,), Rights.NONE)
         elif self.config.lock_strategy == "domain":
             # "Remove lock groups from the page-group cache and allocate
             # new groups for the next transaction's locks."
@@ -220,7 +220,7 @@ class TransactionalVM:
                 if aid is not None and not self._locks.get(vpn):
                     # Last locker gone: page returns to the database's
                     # inaccessible group.
-                    kernel.move_page_to_group(vpn, self.db.aid, rights=Rights.NONE)
+                    kernel.move_pages_to_group((vpn,), self.db.aid, rights=Rights.NONE)
                     del self._page_lock_group[vpn]
         self._active.pop(domain.pd_id, None)
         self.report.commits += 1

@@ -19,9 +19,9 @@ class TestLinearPageTable:
     def test_set_rights(self):
         table = LinearPageTable()
         table.map(10, 100, Rights.RW)
-        assert table.set_rights(10, Rights.READ)
+        assert table.set_rights_many((10,), Rights.READ) == 1
         assert table.lookup(10).rights == Rights.READ
-        assert not table.set_rights(11, Rights.READ)
+        assert table.set_rights_many((11,), Rights.READ) == 0
 
     def test_span_measures_sparsity_cost(self):
         """Scattered mappings make linear tables huge (§3.1)."""

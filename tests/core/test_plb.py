@@ -78,7 +78,7 @@ class TestUpdateRights:
         for pd in (1, 2, 3):
             plb.fill(pd, vaddr(5), Rights.RW)
         plb.fill(1, vaddr(6), Rights.RW)
-        inspected, changed = plb.update_entries_for_page(5, Rights.NONE)
+        inspected, changed = plb.update_entries_for_pages((5,), Rights.NONE)
         assert inspected == 4
         assert changed == 3
         for pd in (1, 2, 3):
@@ -89,7 +89,7 @@ class TestUpdateRights:
         plb = ProtectionLookasideBuffer(8)
         plb.fill(1, vaddr(5), Rights.RW)
         plb.fill(2, vaddr(5), Rights.RW)
-        _, changed = plb.update_entries_for_page(5, Rights.NONE, pd_id=1)
+        _, changed = plb.update_entries_for_pages((5,), Rights.NONE, pd_id=1)
         assert changed == 1
         assert plb.resident(2, vaddr(5)) == Rights.RW
 
@@ -263,7 +263,7 @@ class TestPageUpdateWithMixedLevels:
         entry: the covering entry must go, not be rewritten."""
         plb = ProtectionLookasideBuffer(8, levels=(2, 0))
         plb.fill(1, vaddr(4), Rights.RW, level=2)  # covers pages 4..7
-        _, changed = plb.update_entries_for_page(5, Rights.NONE)
+        _, changed = plb.update_entries_for_pages((5,), Rights.NONE)
         assert changed == 1
         # The superpage entry is gone entirely...
         assert plb.resident(1, vaddr(4)) is None
@@ -272,7 +272,7 @@ class TestPageUpdateWithMixedLevels:
     def test_page_level_entries_still_rewritten(self):
         plb = ProtectionLookasideBuffer(8, levels=(2, 0))
         plb.fill(1, vaddr(5), Rights.RW, level=0)
-        _, changed = plb.update_entries_for_page(5, Rights.NONE)
+        _, changed = plb.update_entries_for_pages((5,), Rights.NONE)
         assert changed == 1
         assert plb.resident(1, vaddr(5)) == Rights.NONE
 

@@ -36,7 +36,7 @@ class TestPageGroupTLBRights:
         kernel, a, b, segment = self.make()
         vpn = segment.base_vpn
         touch(kernel, a, vpn)  # AID-TLB entry now resident with RW
-        kernel.set_rights_all_domains(vpn, Rights.READ)
+        kernel.set_pages_rights_all_domains((vpn,), Rights.READ)
         entries = dict(kernel.system.tlb.items())
         assert entries[vpn].rights == Rights.READ
         with pytest.raises(ProtectionFault):
@@ -49,7 +49,7 @@ class TestPageGroupTLBRights:
         kernel, a, b, segment = self.make()
         vpn = segment.base_vpn
         touch(kernel, a, vpn)
-        kernel.set_page_rights(a, vpn, Rights.READ)
+        kernel.set_pages_rights(a, (vpn,), Rights.READ)
         entries = dict(kernel.system.tlb.items())
         assert entries[vpn].aid == kernel.group_table.aid_of(vpn)
         assert entries[vpn].rights == Rights.READ
@@ -63,7 +63,7 @@ class TestPageGroupTLBRights:
         kernel, a, b, segment = self.make()
         vpn = segment.base_vpn
         touch(kernel, a, vpn, AccessType.WRITE)  # entry resident, RW
-        kernel.set_page_rights(a, vpn, Rights.READ)
+        kernel.set_pages_rights(a, (vpn,), Rights.READ)
         with pytest.raises(ProtectionFault) as exc:
             touch(kernel, a, vpn, AccessType.WRITE)
         assert exc.value.reason.value == "denied"
@@ -81,7 +81,7 @@ class TestConventionalTLBRights:
         kernel, a, segment = self.make()
         vpn = segment.base_vpn
         touch(kernel, a, vpn)  # ASID-TLB entry resident with RW
-        kernel.set_page_rights(a, vpn, Rights.READ)
+        kernel.set_pages_rights(a, (vpn,), Rights.READ)
         entries = dict(kernel.system.tlb.items())
         assert entries[(a.pd_id, vpn)].rights == Rights.READ
         with pytest.raises(ProtectionFault):

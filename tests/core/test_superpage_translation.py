@@ -75,7 +75,7 @@ class TestMultiSizeTLB:
     def test_invalidate_probes_levels(self):
         tlb = TranslationTLB(8, levels=(4, 0))
         tlb.fill(0x100, 0x40, level=4)
-        assert tlb.invalidate(0x107)  # any covered page kills the entry
+        assert tlb.invalidate_pages((0x107,)) == 1  # any covered page kills it
         assert tlb.lookup(0x100) is None
 
     def test_fill_requires_configured_level(self):
@@ -126,7 +126,7 @@ class TestKernelSuperpageTranslation:
     def test_unmap_demotes_to_per_page(self):
         kernel, machine, domain, segment = self.make()
         machine.read(domain, kernel.params.vaddr(segment.base_vpn))
-        kernel.free_page(segment.vpn_at(3))
+        kernel.free_pages((segment.vpn_at(3),))
         assert segment.seg_id not in kernel._contiguous
         # Remaining pages refill as per-page entries.
         machine.read(domain, kernel.params.vaddr(segment.vpn_at(5)))

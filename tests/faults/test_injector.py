@@ -29,7 +29,7 @@ def small_run(kernel):
         machine.write(domain, kernel.params.vaddr(vpn))
     pager.page_out(segment.base_vpn)
     pager.page_in(segment.base_vpn)
-    kernel.set_rights_all_domains(segment.base_vpn + 1, Rights.READ)
+    kernel.set_pages_rights_all_domains((segment.base_vpn + 1,), Rights.READ)
     for vpn in segment.vpns():
         machine.read(other, kernel.params.vaddr(vpn))
     kernel.detach(other, segment)
@@ -141,7 +141,7 @@ class TestShootdownSite:
             FaultPlan(events=(FaultEvent("shootdown", "drop", at=0, arg=99),))
         )
         injector.arm(kernel)
-        kernel.set_page_rights(domain, segment.base_vpn, Rights.NONE)
+        kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.NONE)
         # The revocation's shootdown was swallowed: the stale PLB entry
         # still grants write.
         assert not machine.write(domain, vaddr).faulted

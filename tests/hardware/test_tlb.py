@@ -26,9 +26,9 @@ class TestTranslationTLB:
     def test_invalidate_single_translation(self):
         tlb = TranslationTLB(8)
         tlb.fill(5, 42)
-        assert tlb.invalidate(5)
+        assert tlb.invalidate_pages((5,)) == 1
         assert tlb.lookup(5) is None
-        assert not tlb.invalidate(5)
+        assert tlb.invalidate_pages((5,)) == 0
 
     def test_dirty_bit(self):
         tlb = TranslationTLB(8)
@@ -61,7 +61,7 @@ class TestAIDTaggedTLB:
         """Global rights changes touch a single TLB entry (§4.1.2)."""
         tlb = AIDTaggedTLB(8)
         tlb.fill(5, 42, Rights.RW, aid=7)
-        assert tlb.update(5, rights=Rights.READ)
+        assert tlb.update_pages((5,), rights=Rights.READ) == 1
         entry = tlb.lookup(5)
         assert entry is not None and entry.rights == Rights.READ
         assert entry.aid == 7  # unchanged
@@ -69,13 +69,13 @@ class TestAIDTaggedTLB:
     def test_update_aid_moves_group(self):
         tlb = AIDTaggedTLB(8)
         tlb.fill(5, 42, Rights.RW, aid=7)
-        assert tlb.update(5, aid=9)
+        assert tlb.update_pages((5,), aid=9) == 1
         entry = tlb.lookup(5)
         assert entry is not None and entry.aid == 9
 
     def test_update_missing_is_noop(self):
         tlb = AIDTaggedTLB(8)
-        assert not tlb.update(5, rights=Rights.READ)
+        assert tlb.update_pages((5,), rights=Rights.READ) == 0
 
     def test_one_entry_regardless_of_sharers(self):
         tlb = AIDTaggedTLB(8)
@@ -108,7 +108,7 @@ class TestASIDTaggedTLB:
         for asid in (1, 2, 3):
             tlb.fill(asid, 5, 42, Rights.RW)
         tlb.fill(1, 6, 43, Rights.RW)
-        inspected, removed = tlb.invalidate_page(5)
+        inspected, removed = tlb.invalidate_pages((5,))
         assert removed == 3
         assert inspected == 4
         assert tlb.replicas(5) == 0
@@ -135,7 +135,7 @@ class TestASIDTaggedTLB:
     def test_update_rights(self):
         tlb = ASIDTaggedTLB(8)
         tlb.fill(1, 5, 42, Rights.RW)
-        assert tlb.update_rights(1, 5, Rights.NONE)
+        assert tlb.update_rights_pages(1, (5,), Rights.NONE) == 1
         entry = tlb.lookup(1, 5)
         assert entry is not None and entry.rights == Rights.NONE
 

@@ -93,7 +93,7 @@ class TestHardwareNeverExceedsTables:
         for d_idx, p_idx, rights, write in ops:
             domain = domains[d_idx]
             vpn = segment.vpn_at(p_idx)
-            kernel.set_page_rights(domain, vpn, rights)
+            kernel.set_pages_rights(domain, (vpn,), rights)
             if model == "pagegroup":
                 # Per-domain changes move pages between groups and so
                 # change *other* domains' access; recompute from tables.
@@ -138,7 +138,7 @@ class TestConvergenceAfterChange:
         kernel.attach(domain, segment, Rights.READ)
         vaddr = kernel.params.vaddr(segment.base_vpn)
         machine.read(domain, vaddr)
-        kernel.set_page_rights(domain, segment.base_vpn, Rights.RW)
+        kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.RW)
         result = machine.write(domain, vaddr)
         assert result.protection_faults <= 1
 
@@ -151,7 +151,7 @@ class TestConvergenceAfterChange:
         kernel.attach(domain, segment, Rights.RW)
         vaddr = kernel.params.vaddr(segment.base_vpn)
         machine.write(domain, vaddr)
-        kernel.set_page_rights(domain, segment.base_vpn, Rights.READ)
+        kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.READ)
         with pytest.raises(SegmentationViolation):
             machine.write(domain, vaddr)
 

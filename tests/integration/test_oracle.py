@@ -134,7 +134,7 @@ class TestKernelAgainstOracle:
             elif op == "page_rights":
                 seg_index, vpn = page(arg)
                 if domain.is_attached(segments[seg_index].seg_id):
-                    kernel.set_page_rights(domain, vpn, extra)
+                    kernel.set_pages_rights(domain, (vpn,), extra)
                     oracle.set_page_rights(domain.pd_id, seg_index, vpn, extra)
             elif op == "seg_rights":
                 seg = segments[arg]

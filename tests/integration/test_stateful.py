@@ -83,7 +83,7 @@ class KernelMachine(RuleBasedStateMachine):
         if segment.seg_id not in self.kernel.segments:
             return
         vpn = segment.vpn_at(page % segment.n_pages)
-        self.kernel.set_page_rights(domain, vpn, rights)
+        self.kernel.set_pages_rights(domain, (vpn,), rights)
         self.shadow[(domain.pd_id, vpn)] = rights
 
     @rule(domain=domains, segment=segments, page=st.integers(0, 3),

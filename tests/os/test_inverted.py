@@ -100,7 +100,7 @@ class TestKernelSubstitution:
         for vpn in segment.vpns():
             machine.write(domain, kernel.params.vaddr(vpn))
         assert kernel.stats["ipt.lookup"] > 0
-        kernel.free_page(segment.base_vpn)
+        kernel.free_pages((segment.base_vpn,))
         assert not kernel.translations.is_resident(segment.base_vpn)
 
     def test_paging_over_inverted_table(self):

@@ -126,7 +126,7 @@ class TestPermissionChanges:
         machine = Machine(kernel)
         vaddr = kernel.params.vaddr(segment.base_vpn)
         machine.write(domain, vaddr)
-        kernel.set_page_rights(domain, segment.base_vpn, Rights.READ)
+        kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.READ)
         machine.read(domain, vaddr)
         with pytest.raises(SegmentationViolation):
             machine.write(domain, vaddr)
@@ -136,13 +136,13 @@ class TestPermissionChanges:
         machine = Machine(kernel)
         vaddr = kernel.params.vaddr(segment.base_vpn)
         machine.read(domain, vaddr)
-        kernel.set_page_rights(domain, segment.base_vpn, Rights.RW)
+        kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.RW)
         machine.write(domain, vaddr)
 
     def test_other_pages_unaffected(self, kernel):
         domain, segment = make_attached_segment(kernel)
         machine = Machine(kernel)
-        kernel.set_page_rights(domain, segment.base_vpn, Rights.NONE)
+        kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.NONE)
         machine.write(domain, kernel.params.vaddr(segment.base_vpn + 1))
         with pytest.raises(SegmentationViolation):
             machine.read(domain, kernel.params.vaddr(segment.base_vpn))
@@ -151,7 +151,7 @@ class TestPermissionChanges:
         domain = kernel.create_domain("d")
         segment = kernel.create_segment("s", 2)
         with pytest.raises(KernelError):
-            kernel.set_page_rights(domain, segment.base_vpn, Rights.READ)
+            kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.READ)
 
     def test_set_segment_rights_uniform(self, kernel):
         domain, segment = make_attached_segment(kernel)
@@ -169,20 +169,20 @@ class TestUnmap:
     def test_unmap_page_removes_translation(self, kernel):
         domain, segment = make_attached_segment(kernel)
         vpn = segment.base_vpn
-        pfn = kernel.unmap_page(vpn)
+        pfn = kernel.unmap_pages((vpn,))[vpn]
         assert not kernel.translations.is_resident(vpn)
         assert kernel.memory.is_allocated(pfn)  # caller still owns it
 
     def test_free_page_releases_frame(self, kernel):
         domain, segment = make_attached_segment(kernel)
         free_before = kernel.memory.free_frames
-        kernel.free_page(segment.base_vpn)
+        kernel.free_pages((segment.base_vpn,))
         assert kernel.memory.free_frames == free_before + 1
 
     def test_unmap_nonresident_raises(self, kernel):
         kernel.create_segment("s", 2, populate=False)
         with pytest.raises(KernelError):
-            kernel.unmap_page(0x100)
+            kernel.unmap_pages((0x100,))
 
     def test_access_after_unmap_demand_zeroes(self, kernel):
         """An unmapped (not paged-out) page faults and gets a new frame."""
@@ -190,7 +190,7 @@ class TestUnmap:
         machine = Machine(kernel)
         vaddr = kernel.params.vaddr(segment.base_vpn)
         machine.write(domain, vaddr)
-        kernel.free_page(segment.base_vpn)
+        kernel.free_pages((segment.base_vpn,))
         result = machine.read(domain, vaddr)
         assert result.page_faults >= 1
         assert kernel.translations.is_resident(segment.base_vpn)
@@ -222,6 +222,6 @@ class TestModelValidation:
             pytest.skip("primitive is valid on the page-group model")
         domain, segment = make_attached_segment(kernel)
         with pytest.raises(KernelError):
-            kernel.move_page_to_group(segment.base_vpn, 99)
+            kernel.move_pages_to_group((segment.base_vpn,), 99)
         with pytest.raises(KernelError):
             kernel.grant_group(domain, 99)

@@ -57,7 +57,7 @@ class TestPLBModelMechanics:
         machine = Machine(kernel)
         machine.read(domain, kernel.params.vaddr(segment.base_vpn))
         before = kernel.stats.snapshot()
-        kernel.set_page_rights(domain, segment.base_vpn, Rights.NONE)
+        kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.NONE)
         delta = kernel.stats.delta(before)
         assert delta["plb.update"] == 1
         assert delta.total("plb.sweep_inspected") == 0
@@ -73,7 +73,7 @@ class TestPLBModelMechanics:
         for d in [domain] + others:
             machine.read(d, kernel.params.vaddr(segment.base_vpn))
         before = kernel.stats.snapshot()
-        kernel.set_rights_all_domains(segment.base_vpn, Rights.NONE)
+        kernel.set_pages_rights_all_domains((segment.base_vpn,), Rights.NONE)
         delta = kernel.stats.delta(before)
         assert delta["plb.sweep_updated"] == 4
 
@@ -84,7 +84,7 @@ class TestPLBModelMechanics:
         machine = Machine(kernel)
         machine.read(domain, kernel.params.vaddr(segment.base_vpn))
         plb_resident = len(kernel.system.plb)
-        kernel.unmap_page(segment.base_vpn)
+        kernel.unmap_pages((segment.base_vpn,))
         assert len(kernel.system.plb) == plb_resident  # entries drain lazily
         assert segment.base_vpn not in kernel.system.tlb
 
@@ -139,7 +139,7 @@ class TestPageGroupModelMechanics:
         machine = Machine(kernel)
         machine.read(domain, kernel.params.vaddr(segment.base_vpn))
         before = kernel.stats.snapshot()
-        kernel.set_rights_all_domains(segment.base_vpn, Rights.READ)
+        kernel.set_pages_rights_all_domains((segment.base_vpn,), Rights.READ)
         delta = kernel.stats.delta(before)
         assert delta["pgtlb.update"] == 1
 
@@ -150,7 +150,7 @@ class TestPageGroupModelMechanics:
         kernel = pagegroup_kernel
         domain, segment = attached(kernel)
         original_aid = kernel.group_table.aid_of(segment.base_vpn)
-        kernel.set_page_rights(domain, segment.base_vpn, Rights.RW)
+        kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.RW)
         new_aid = kernel.group_table.aid_of(segment.base_vpn)
         assert new_aid != original_aid
         assert domain.holds_group(new_aid)
@@ -165,7 +165,7 @@ class TestPageGroupModelMechanics:
         machine = Machine(kernel)
         vaddr = kernel.params.vaddr(segment.base_vpn)
         machine.read(other, vaddr)
-        kernel.set_page_rights(domain, segment.base_vpn, Rights.RW)
+        kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.RW)
         from repro.os.kernel import SegmentationViolation
 
         with pytest.raises(SegmentationViolation):
@@ -179,7 +179,8 @@ class TestPageGroupModelMechanics:
         target = kernel.create_page_group()
         kernel.grant_group(domain, target)
         before = kernel.stats.snapshot()
-        old = kernel.move_page_to_group(segment.base_vpn, target, rights=Rights.RW)
+        vpn = segment.base_vpn
+        old = kernel.move_pages_to_group((vpn,), target, rights=Rights.RW)[vpn]
         delta = kernel.stats.delta(before)
         assert old == segment.aid
         assert delta["pgtlb.update"] == 1
@@ -252,7 +253,7 @@ class TestConventionalModelMechanics:
             kernel.attach(domain, segment, Rights.RW)
             machine.read(domain, kernel.params.vaddr(segment.base_vpn))
         before = kernel.stats.snapshot()
-        kernel.set_rights_all_domains(segment.base_vpn, Rights.NONE)
+        kernel.set_pages_rights_all_domains((segment.base_vpn,), Rights.NONE)
         delta = kernel.stats.delta(before)
         assert delta["asidtlb.update"] == 3
 
@@ -265,7 +266,7 @@ class TestConventionalModelMechanics:
             kernel.attach(domain, segment, Rights.RW)
             machine.read(domain, kernel.params.vaddr(segment.base_vpn))
         assert kernel.system.tlb.replicas(segment.base_vpn) == 3
-        kernel.unmap_page(segment.base_vpn)
+        kernel.unmap_pages((segment.base_vpn,))
         assert kernel.system.tlb.replicas(segment.base_vpn) == 0
 
     def test_detach_removes_mirror_and_tlb_range(self, conventional_kernel):

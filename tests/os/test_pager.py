@@ -123,7 +123,7 @@ class TestModelSpecificProtocol:
     def test_plb_preserves_preexisting_overrides(self):
         kernel, pager, domain, segment = paged_setup("plb")
         vpn = segment.base_vpn
-        kernel.set_page_rights(domain, vpn, Rights.READ)
+        kernel.set_pages_rights(domain, (vpn,), Rights.READ)
         pager.page_out(vpn)
         pager.page_in(vpn)
         assert domain.page_overrides[vpn] == Rights.READ
@@ -162,7 +162,7 @@ class TestReentrancyAndIdempotence:
     def test_page_out_of_nonresident_page_is_a_typed_error(self):
         kernel, pager, domain, segment = paged_setup("plb")
         vpn = segment.base_vpn
-        kernel.free_page(vpn)
+        kernel.free_pages((vpn,))
         with pytest.raises(PagerError, match="not resident"):
             pager.page_out(vpn)
 
@@ -207,7 +207,7 @@ class TestReentrancyAndIdempotence:
     def test_failed_attempt_leaves_eviction_state_intact(self):
         kernel, pager, domain, segment = paged_setup("plb")
         vpn = segment.base_vpn
-        kernel.set_page_rights(domain, vpn, Rights.READ)
+        kernel.set_pages_rights(domain, (vpn,), Rights.READ)
         pager.page_out(vpn)
         state_before = pager._evicted[vpn]
         with pytest.raises(PagerError):

@@ -26,7 +26,7 @@ class _GrantingServer:
         self.protection_calls += 1
         domain = self.kernel.domains[fault.pd_id]
         vpn = self.kernel.params.vpn(fault.vaddr)
-        self.kernel.set_page_rights(domain, vpn, Rights.RW)
+        self.kernel.set_pages_rights(domain, (vpn,), Rights.RW)
         return True
 
     def on_page_fault(self, fault: PageFault) -> bool:

@@ -104,7 +104,7 @@ def test_single_shard_run_charges_no_shard_counters():
     dom = kernel.create_domain("d")
     seg = kernel.create_segment("s", 8)
     kernel.attach(dom, seg, Rights.RW)
-    kernel.set_page_rights(dom, seg.base_vpn, Rights.READ)
+    kernel.set_pages_rights(dom, (seg.base_vpn,), Rights.READ)
     counters = kernel.stats.as_dict()
     assert not any(k.startswith("authority.shard.") for k in counters)
 
@@ -119,7 +119,7 @@ def test_disjoint_mutations_advance_disjoint_epochs():
     homes = [authority.shard_of(seg.base_vpn) for seg in segs]
     assert sorted(homes) == [0, 1, 2, 3]
     before = [authority.shard_epoch(i) for i in range(4)]
-    kernel.set_page_rights(dom, segs[0].base_vpn, Rights.READ)
+    kernel.set_pages_rights(dom, (segs[0].base_vpn,), Rights.READ)
     after = [authority.shard_epoch(i) for i in range(4)]
     # Only the touched segment's home shard moved: disjoint-segment
     # verbs stop contending on one global epoch.
@@ -139,7 +139,7 @@ def test_single_shard_mutation_charged_as_local():
         stats.get("authority.shard.local", 0),
         stats.get("authority.shard.cross", 0),
     )
-    kernel.set_page_rights(dom, seg.base_vpn, Rights.READ)
+    kernel.set_pages_rights(dom, (seg.base_vpn,), Rights.READ)
     stats = kernel.stats.as_dict()
     assert stats.get("authority.shard.local", 0) == local + 1
     assert stats.get("authority.shard.cross", 0) == cross

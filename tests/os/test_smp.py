@@ -23,6 +23,16 @@ def shared_setup(kernel: Kernel, *, rights: Rights = Rights.RW):
     return domain, segment
 
 
+def warm(kernel: Kernel, domain, segment) -> SMPMachine:
+    """Every CPU writes every page of ``segment``; CPU 0 is left current."""
+    smp = SMPMachine(kernel)
+    for cpu in range(len(kernel.cpus)):
+        for vpn in segment.vpns():
+            smp.touch_on(cpu, domain, kernel.params.vaddr(vpn), AccessType.WRITE)
+    kernel.set_current_cpu(0)
+    return smp
+
+
 class TestTopology:
     def test_n_cpus_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -64,7 +74,7 @@ class TestEpochs:
         kernel.set_current_cpu(1)
         parked1 = kernel.mutation_epoch
         kernel.set_current_cpu(0)
-        kernel.set_page_rights(domain, segment.base_vpn, Rights.READ)
+        kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.READ)
         kernel.set_current_cpu(1)
         assert kernel.mutation_epoch > parked1
 
@@ -89,7 +99,7 @@ class TestShootdownSemantics:
             assert not smp.touch_on(cpu, domain, vaddr, AccessType.WRITE).faulted
 
         kernel.set_current_cpu(0)
-        kernel.set_page_rights(domain, segment.base_vpn, Rights.READ)
+        kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.READ)
         assert not smp.touch_on(1, domain, vaddr).faulted
         with pytest.raises(SegmentationViolation):
             smp.touch_on(1, domain, vaddr, AccessType.WRITE)
@@ -114,7 +124,7 @@ class TestShootdownSemantics:
             smp.touch_on(cpu, domain, vaddr)
         kernel.set_current_cpu(0)
         before = kernel.stats.snapshot()
-        kernel.set_page_rights(domain, segment.base_vpn, Rights.NONE)
+        kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.NONE)
         delta = kernel.stats.delta(before)
         assert delta["smp.shootdown.msgs"] == 2
         assert delta["smp.shootdown.verb.set_page_rights"] == 2
@@ -171,7 +181,7 @@ class TestTranslationNeverIntercepted:
         injector = self.drop_everything()
         injector.arm(kernel)
         kernel.set_current_cpu(0)
-        kernel.unmap_page(segment.base_vpn)
+        kernel.unmap_pages((segment.base_vpn,))
         injector.disarm()
 
         # Both CPUs must refuse to translate the dead page; a stale hit
@@ -196,7 +206,7 @@ class TestTranslationNeverIntercepted:
         injector = self.drop_everything()
         injector.arm(kernel)
         kernel.set_current_cpu(0)
-        kernel.set_page_rights(domain, segment.base_vpn, Rights.NONE)
+        kernel.set_pages_rights(domain, (segment.base_vpn,), Rights.NONE)
         # CPU 1 never saw the revocation: its PLB still grants write.
         assert not smp.touch_on(1, domain, vaddr, AccessType.WRITE).faulted
         injector.disarm()
@@ -208,20 +218,11 @@ class TestTranslationNeverIntercepted:
 class TestBatchedRangeShootdowns:
     """A K-page verb coalesces to ONE bus message per remote CPU."""
 
-    def warm(self, kernel, domain, segment):
-        smp = SMPMachine(kernel)
-        for cpu in range(len(kernel.cpus)):
-            for vpn in segment.vpns():
-                smp.touch_on(cpu, domain, kernel.params.vaddr(vpn),
-                             AccessType.WRITE)
-        kernel.set_current_cpu(0)
-        return smp
-
     @pytest.mark.parametrize("model", MODELS)
     def test_one_message_per_remote_cpu_not_per_page(self, model):
         kernel = Kernel(model, n_frames=64, n_cpus=4)
         domain, segment = shared_setup(kernel)
-        self.warm(kernel, domain, segment)
+        warm(kernel, domain, segment)
         before = kernel.stats.snapshot()
         kernel.set_pages_rights_all_domains(list(segment.vpns()), Rights.READ)
         delta = kernel.stats.delta(before)
@@ -233,7 +234,7 @@ class TestBatchedRangeShootdowns:
     def test_no_batch_degenerates_to_the_per_page_loop(self):
         kernel = Kernel("plb", n_frames=64, n_cpus=4)
         domain, segment = shared_setup(kernel)
-        self.warm(kernel, domain, segment)
+        warm(kernel, domain, segment)
         kernel.bus.batch = False
         before = kernel.stats.snapshot()
         kernel.set_pages_rights_all_domains(list(segment.vpns()), Rights.READ)
@@ -246,7 +247,7 @@ class TestBatchedRangeShootdowns:
     def test_batched_revocation_is_enforced_on_remote_cpus(self, model):
         kernel = Kernel(model, n_frames=64, n_cpus=3)
         domain, segment = shared_setup(kernel)
-        smp = self.warm(kernel, domain, segment)
+        smp = warm(kernel, domain, segment)
         kernel.set_pages_rights_all_domains(list(segment.vpns()), Rights.READ)
         for cpu in range(3):
             for vpn in segment.vpns():
@@ -271,12 +272,12 @@ class TestBatchedRangeShootdowns:
         """A predicate-gated range shootdown reaches only matching CPUs."""
         kernel = Kernel("plb", n_frames=64, n_cpus=3)
         domain, segment = shared_setup(kernel)
-        self.warm(kernel, domain, segment)
+        warm(kernel, domain, segment)
         fired: list[int] = []
         pages = tuple(segment.vpns())
-        kernel.bus.shootdown_range(
+        kernel.bus.shootdown(
             "probe", pages,
-            lambda vpns: lambda system: fired.append(len(vpns)) or 0,
+            lambda system, vpns: fired.append(len(vpns)) or 0,
             predicate=lambda ctx: ctx.cpu_id == 1,
             include_local=False,
         )
@@ -288,13 +289,95 @@ class TestBatchedRangeShootdowns:
     def test_unmap_pages_batches_on_the_translation_channel(self):
         kernel = Kernel("plb", n_frames=64, n_cpus=4)
         domain, segment = shared_setup(kernel)
-        self.warm(kernel, domain, segment)
+        warm(kernel, domain, segment)
         before = kernel.stats.snapshot()
         kernel.unmap_pages(list(segment.vpns()))
         delta = kernel.stats.delta(before)
         assert delta["smp.tlb_shootdown.msgs"] == 3
         assert delta["smp.tlb_shootdown.batches"] == 3
         assert delta["smp.shootdown.batches"] == 0
+
+
+#: (verb, model) for every Table 1 page verb on every model that has it.
+VERB_CASES = [
+    (name, model)
+    for name in (
+        "set_pages_rights", "set_pages_rights_all_domains", "unmap_pages",
+        "free_pages",
+    )
+    for model in MODELS
+] + [
+    (name, "pagegroup")
+    for name in ("move_pages_to_group", "set_pages_rights_global")
+]
+
+
+def _run_verb(model, name, batches, *, n_cpus=2, batch=True):
+    """Warm a kernel on every CPU, then apply verb ``name`` once per VPN
+    tuple in ``batches`` (indices into a shared 4-page segment); returns
+    the merged counter delta."""
+    kernel = Kernel(model, n_frames=64, n_cpus=n_cpus)
+    kernel.bus.batch = batch
+    domain, segment = shared_setup(kernel)
+    warm(kernel, domain, segment)
+    group = kernel.create_page_group()
+    verb = {
+        "set_pages_rights": lambda vpns: kernel.set_pages_rights(
+            domain, vpns, Rights.READ
+        ),
+        "set_pages_rights_all_domains": lambda vpns: (
+            kernel.set_pages_rights_all_domains(vpns, Rights.READ)
+        ),
+        "move_pages_to_group": lambda vpns: kernel.move_pages_to_group(vpns, group),
+        "set_pages_rights_global": lambda vpns: (
+            kernel.set_pages_rights_global(vpns, Rights.READ)
+        ),
+        "unmap_pages": kernel.unmap_pages,
+        "free_pages": kernel.free_pages,
+    }[name]
+    before = kernel.merged_stats()
+    for pages in batches:
+        verb(tuple(segment.base_vpn + i for i in pages))
+    return kernel.merged_stats().delta(before).as_dict()
+
+
+class TestOnePageRule:
+    """A page batch is a set: a 1-page call is a plain single-page
+    operation, and a page named twice is charged once."""
+
+    @pytest.mark.parametrize("name,model", VERB_CASES)
+    def test_one_page_charges_no_batch_counters(self, name, model):
+        delta = _run_verb(model, name, [(1,)])
+        assert not [key for key in delta if ".batch" in key]
+        assert delta.get("smp.shootdown.msgs", 0) + delta.get(
+            "smp.tlb_shootdown.msgs", 0
+        ) == 1
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["batched", "no-batch"])
+    @pytest.mark.parametrize("name,model", VERB_CASES)
+    def test_repeated_page_is_charged_once(self, name, model, batch):
+        assert _run_verb(model, name, [(1, 1)], batch=batch) == _run_verb(
+            model, name, [(1,)], batch=batch
+        )
+
+    @pytest.mark.parametrize("name,model", VERB_CASES)
+    def test_no_batch_is_one_page_deliveries(self, name, model):
+        """With ``bus.batch`` off a K-page verb costs, message for
+        message and entry for entry, what K 1-page calls cost; only the
+        kernel entries (one trap instead of K) and names differ."""
+
+        def unnamed(delta):
+            return {
+                key: count for key, count in delta.items()
+                if key != "kernel.trap"
+                and not key.startswith("kernel.syscall.")
+                and ".verb." not in key
+            }
+
+        looped = _run_verb(model, name, [(0,), (1,), (2,)], n_cpus=4)
+        legacy = _run_verb(model, name, [(0, 1, 2)], n_cpus=4, batch=False)
+        assert unnamed(legacy) == unnamed(looped)
+        assert legacy["kernel.trap"] == 1
 
 
 class TestInjectorBatchContract:

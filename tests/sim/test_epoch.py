@@ -42,14 +42,14 @@ VERB_CASES = {
         lambda seg: lambda: e.kernel.attach(e.d1, seg, Rights.RW)
     )(e.kernel.create_segment("s2", 2)),
     "detach": lambda e: lambda: e.kernel.detach(e.d2, e.seg),
-    "set_page_rights": lambda e: lambda: e.kernel.set_page_rights(
-        e.d1, e.seg.base_vpn, Rights.READ
+    "set_page_rights": lambda e: lambda: e.kernel.set_pages_rights(
+        e.d1, (e.seg.base_vpn,), Rights.READ
     ),
     "set_segment_rights": lambda e: lambda: e.kernel.set_segment_rights(
         e.d1, e.seg, Rights.READ
     ),
-    "set_rights_all_domains": lambda e: lambda: e.kernel.set_rights_all_domains(
-        e.seg.base_vpn, Rights.READ
+    "set_rights_all_domains": lambda e: lambda: e.kernel.set_pages_rights_all_domains(
+        (e.seg.base_vpn,), Rights.READ
     ),
     "switch_to": lambda e: lambda: e.kernel.switch_to(e.d2),
     "destroy_segment": lambda e: (
@@ -58,8 +58,8 @@ VERB_CASES = {
     "populate_page": lambda e: (
         lambda seg: lambda: e.kernel.populate_page(seg.base_vpn)
     )(e.kernel.create_segment("cold", 2, populate=False)),
-    "unmap_page": lambda e: lambda: e.kernel.unmap_page(e.seg.base_vpn),
-    "free_page": lambda e: lambda: e.kernel.free_page(e.seg.base_vpn),
+    "unmap_page": lambda e: lambda: e.kernel.unmap_pages((e.seg.base_vpn,)),
+    "free_page": lambda e: lambda: e.kernel.free_pages((e.seg.base_vpn,)),
     "rebuild_protection_state": lambda e: lambda: (
         e.kernel.rebuild_protection_state()
     ),
@@ -73,11 +73,11 @@ GROUP_CASES = {
     "revoke_group": lambda e: (
         lambda: (e.kernel.grant_group(e.d2, 1), e.kernel.revoke_group(e.d2, 1))
     ),
-    "move_page_to_group": lambda e: lambda: e.kernel.move_page_to_group(
-        e.seg.base_vpn, 1
+    "move_page_to_group": lambda e: lambda: e.kernel.move_pages_to_group(
+        (e.seg.base_vpn,), 1
     ),
     "set_page_rights_global": lambda e: lambda: (
-        e.kernel.set_page_rights_global(e.seg.base_vpn, Rights.READ)
+        e.kernel.set_pages_rights_global((e.seg.base_vpn,), Rights.READ)
     ),
 }
 
@@ -196,7 +196,7 @@ class TestFusedRunSplits:
     def test_remote_verb_shootdown_splits_fused_run(self, model):
         """A verb on CPU 0 reaches CPU 1's fused runs over the bus.
 
-        ``unmap_page`` broadcasts a *translation* shootdown on every
+        ``unmap_pages`` broadcasts a *translation* shootdown on every
         model (rights-only verbs may legitimately skip the bus — e.g.
         the page-group model propagates rights through the group
         table), so it must kill the remote CPU's fused cache."""
@@ -204,7 +204,7 @@ class TestFusedRunSplits:
         machine, trace = self._hot_machine(env, cpu=env.kernel.cpus[1])
         before = machine.fused_refs
         env.kernel.set_current_cpu(0)
-        env.kernel.unmap_page(env.seg.base_vpn)
+        env.kernel.unmap_pages((env.seg.base_vpn,))
         machine.run(trace)
         assert machine.fused_refs == before
 

@@ -58,13 +58,13 @@ def _apply_verb(kernel, domains, segments, op) -> None:
     elif isinstance(op, opmod.Detach):
         kernel.detach(domains[op.pd], segments[op.seg])
     elif isinstance(op, opmod.SetPageRights):
-        kernel.set_page_rights(domains[op.pd], op.vpn, op.rights)
+        kernel.set_pages_rights(domains[op.pd], (op.vpn,), op.rights)
     elif isinstance(op, opmod.SetSegmentRights):
         kernel.set_segment_rights(domains[op.pd], segments[op.seg], op.rights)
     elif isinstance(op, opmod.SetRightsAll):
-        kernel.set_rights_all_domains(op.vpn, op.rights)
+        kernel.set_pages_rights_all_domains((op.vpn,), op.rights)
     elif isinstance(op, opmod.PageOut):
-        kernel.free_page(op.vpn)
+        kernel.free_pages((op.vpn,))
     elif isinstance(op, opmod.PageIn):
         kernel.populate_page(op.vpn)
     elif isinstance(op, opmod.Switch):
